@@ -22,6 +22,7 @@ from .errors import (
     BadMagic,
     ConfigError,
     CountMismatch,
+    DataError,
     DatasetTooSmall,
     DeadLayer,
     EmptyDataset,
@@ -37,6 +38,7 @@ from .errors import (
     ParseError,
     ShapeMismatch,
     TruncatedFile,
+    UsageError,
 )
 from .evolution import (
     EvolutionConfig,
@@ -89,76 +91,3 @@ from .netcore import (
 )
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "BadMagic",
-    "CalibrationResult",
-    "ConfigError",
-    "CountMismatch",
-    "Dataset",
-    "DatasetTooSmall",
-    "DeadLayer",
-    "DenseLayer",
-    "EmptyDataset",
-    "EnvironmentalFactor",
-    "EvolutionConfig",
-    "EvoSynthError",
-    "FormatVersionUnsupported",
-    "GenerationRecord",
-    "Gradients",
-    "IntegrityError",
-    "InvalidLabel",
-    "InvalidParam",
-    "InvalidSpec",
-    "IoError",
-    "LayerSpec",
-    "Lineage",
-    "MAX_FINITE_F16",
-    "ModelMeta",
-    "NAN_F16",
-    "Network",
-    "NonFiniteFeature",
-    "NumericFailure",
-    "ParseError",
-    "PrecisionPolicy",
-    "SATURATE",
-    "ShapeMismatch",
-    "SynapseMask",
-    "SynapticProbabilityModel",
-    "TO_INFINITY",
-    "TrainConfig",
-    "TrainingLog",
-    "TruncatedFile",
-    "calibrate_alpha",
-    "count_active_synapses",
-    "decode_array",
-    "decode_f16",
-    "derive_seed",
-    "encode_array",
-    "encode_dna",
-    "encode_f16",
-    "evaluate_classifier",
-    "evolve",
-    "expected_density",
-    "forward",
-    "forward_batch",
-    "gradients",
-    "inference_cost",
-    "init_network",
-    "load_csv_dataset",
-    "load_idx",
-    "load_lineage_report",
-    "load_model",
-    "load_model_meta",
-    "mean_loss",
-    "quantize_network",
-    "save_lineage_report",
-    "save_model",
-    "step_generation",
-    "synth_gaussians",
-    "synthesis_probability",
-    "synthesize_offspring",
-    "train",
-    "validation_split",
-    "__version__",
-]

@@ -9,9 +9,11 @@ output. Every command is deterministic given its inputs and flags.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+import typing
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,31 +28,13 @@ from .dataio import (
     save_model,
     synth_gaussians,
 )
-from .errors import (
-    BadMagic,
-    ConfigError,
-    CountMismatch,
-    DatasetTooSmall,
-    DeadLayer,
-    EmptyDataset,
-    FormatVersionUnsupported,
-    IntegrityError,
-    InvalidLabel,
-    InvalidParam,
-    InvalidSpec,
-    IoError,
-    NonFiniteFeature,
-    NumericFailure,
-    ParseError,
-    ShapeMismatch,
-    TruncatedFile,
-)
+from .errors import ConfigError, EvoSynthError, IntegrityError, InvalidSpec, IoError
 from .evolution import EvolutionConfig, evolve
-from .halfprec import HALF_OVERFLOW_MODES, PrecisionPolicy, SATURATE, TO_INFINITY, quantize_network
+from .halfprec import PrecisionPolicy, SATURATE, TO_INFINITY, quantize_network
 from .netcore import (
-    ACTIVATIONS,
     LayerSpec,
     TrainConfig,
+    check_spec,
     count_active_synapses,
     evaluate_classifier,
     inference_cost,
@@ -58,177 +42,79 @@ from .netcore import (
 )
 from .rng import substream
 
-_DATA_ERRORS = (
-    ParseError,
-    EmptyDataset,
-    NonFiniteFeature,
-    BadMagic,
-    CountMismatch,
-    TruncatedFile,
-    IoError,
-    FormatVersionUnsupported,
-    IntegrityError,
-    ShapeMismatch,
-    InvalidLabel,
-    DatasetTooSmall,
-    DeadLayer,
-)
+
+# configuration parsing (strict: unknown keys are errors). Only JSON types
+# are checked here; ranges are checked by the dataclasses themselves.
+
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
+               list: "a list", dict: "an object", type(None): "null"}
+
+# per-run training seeds are derived from the master seed, never configured
+_NOT_CONFIGURABLE = {TrainConfig: ("seed",)}
+
+# dataset source type -> JSON type of each key besides "type"
+_SOURCE_KEYS = {
+    "synthetic": {"n_per_class": int, "n_features": int, "separation": float, "seed": int},
+    "csv": {"path": str},
+    "idx": {"images": str, "labels": str, "limit": int},
+}
+_SOURCE_DEFAULTS = {"seed": 0, "limit": None}
 
 
-# configuration parsing (strict: unknown keys are errors)
+def _is_a(value, kind) -> bool:
+    if kind is type(None):
+        return value is None
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    return _is_int(v) or isinstance(v, float)
-
-
-def _check_keys(obj: dict, allowed: tuple, where: str) -> None:
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise ConfigError(f"{where}: unknown key(s): {', '.join(unknown)}")
-
-
-def _field(obj: dict, key: str, where: str, check, kind: str, default=None, required=False):
-    if key not in obj:
-        if required:
-            raise ConfigError(f"{where}: missing required key {key!r}")
-        return default
-    value = obj[key]
-    if not check(value):
-        raise ConfigError(f"{where}: {key} must be {kind}")
+def _typed(value, kind, where: str):
+    if dataclasses.is_dataclass(kind):
+        return _build(kind, value, where)
+    options = typing.get_args(kind) or (kind,)
+    if not any(_is_a(value, k) for k in options):
+        raise ConfigError(f"{where} must be {' or '.join(_KIND_NAMES[k] for k in options)}")
     return value
 
 
-def _parse_layers(doc, where: str) -> list[LayerSpec]:
-    if not isinstance(doc, list) or not doc:
-        raise ConfigError(f"{where}: layers must be a non-empty list")
-    specs = []
-    for i, entry in enumerate(doc):
-        sub = f"{where}: layers[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{sub}: must be an object")
-        _check_keys(entry, ("in_dim", "out_dim", "activation"), sub)
-        in_dim = _field(entry, "in_dim", sub, _is_int, "an integer", required=True)
-        out_dim = _field(entry, "out_dim", sub, _is_int, "an integer", required=True)
-        activation = _field(entry, "activation", sub, lambda v: isinstance(v, str),
-                            "a string", default="relu")
-        if in_dim < 1 or out_dim < 1:
-            raise ConfigError(f"{sub}: dimensions must be >= 1")
-        if activation not in ACTIVATIONS:
-            raise ConfigError(f"{sub}: activation must be one of {', '.join(ACTIVATIONS)}")
-        specs.append(LayerSpec(in_dim=in_dim, out_dim=out_dim, activation=activation))
-    for i in range(len(specs) - 1):
-        if specs[i].out_dim != specs[i + 1].in_dim:
-            raise ConfigError(
-                f"{where}: layers[{i}].out_dim {specs[i].out_dim} "
-                f"!= layers[{i + 1}].in_dim {specs[i + 1].in_dim}"
-            )
-    return specs
-
-
-def _parse_dataset_source(doc, where: str) -> dict:
+def _check_object(doc, where: str, kinds: dict, required) -> dict:
+    """The keys of `doc` type-checked against `kinds`; unknown or missing keys are errors."""
     if not isinstance(doc, dict):
-        raise ConfigError(f"{where}: dataset must be an object")
-    kind = _field(doc, "type", where, lambda v: isinstance(v, str), "a string", required=True)
-    if kind == "synthetic":
-        _check_keys(doc, ("type", "n_per_class", "n_features", "separation", "seed"), where)
-        return {
-            "type": kind,
-            "n_per_class": _field(doc, "n_per_class", where, _is_int, "an integer", required=True),
-            "n_features": _field(doc, "n_features", where, _is_int, "an integer", required=True),
-            "separation": _field(doc, "separation", where, _is_real, "a number", required=True),
-            "seed": _field(doc, "seed", where, _is_int, "an integer", default=0),
-        }
-    if kind == "csv":
-        _check_keys(doc, ("type", "path"), where)
-        return {"type": kind,
-                "path": _field(doc, "path", where, lambda v: isinstance(v, str), "a string",
-                               required=True)}
-    if kind == "idx":
-        _check_keys(doc, ("type", "images", "labels", "limit"), where)
-        return {
-            "type": kind,
-            "images": _field(doc, "images", where, lambda v: isinstance(v, str), "a string",
-                             required=True),
-            "labels": _field(doc, "labels", where, lambda v: isinstance(v, str), "a string",
-                             required=True),
-            "limit": _field(doc, "limit", where, _is_int, "an integer", default=None),
-        }
-    raise ConfigError(f"{where}: dataset type must be synthetic, csv or idx, got {kind!r}")
+        raise ConfigError(f"{where} must be an object")
+    unknown = sorted(set(doc) - set(kinds))
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s): {', '.join(unknown)}")
+    for key in required:
+        if key not in doc:
+            raise ConfigError(f"{where}: missing required key {key!r}")
+    return {key: _typed(value, kinds[key], f"{where}: {key}") for key, value in doc.items()}
 
 
-def _parse_train(doc, where: str) -> TrainConfig:
-    _check_keys(doc, ("learning_rate", "momentum", "batch_size", "max_epochs",
-                      "patience", "validation_fraction"), where)
-    defaults = TrainConfig()
+def _build(cls, doc, where: str):
+    """An instance of dataclass `cls` from a JSON object keyed by its field names."""
+    hints = typing.get_type_hints(cls)
+    fields = [f for f in dataclasses.fields(cls) if f.name not in _NOT_CONFIGURABLE.get(cls, ())]
+    required = [f.name for f in fields
+                if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    values = _check_object(doc, where, {f.name: hints[f.name] for f in fields}, required)
     try:
-        return TrainConfig(
-            learning_rate=_field(doc, "learning_rate", where, _is_real, "a number",
-                                 default=defaults.learning_rate),
-            momentum=_field(doc, "momentum", where, _is_real, "a number",
-                            default=defaults.momentum),
-            batch_size=_field(doc, "batch_size", where, _is_int, "an integer",
-                              default=defaults.batch_size),
-            max_epochs=_field(doc, "max_epochs", where, _is_int, "an integer",
-                              default=defaults.max_epochs),
-            patience=_field(doc, "patience", where, _is_int, "an integer",
-                            default=defaults.patience),
-            validation_fraction=_field(doc, "validation_fraction", where, _is_real, "a number",
-                                       default=defaults.validation_fraction),
-        )
+        return cls(**values)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _parse_evolution(doc, where: str) -> EvolutionConfig:
-    _check_keys(doc, ("generations", "retention_per_generation", "inherit_weights",
-                      "stop_on_metric_drop", "master_seed", "precision", "train"), where)
-    defaults = EvolutionConfig()
-    precision = PrecisionPolicy()
-    if "precision" in doc:
-        sub = doc["precision"]
-        pwhere = f"{where}: precision"
-        if not isinstance(sub, dict):
-            raise ConfigError(f"{pwhere}: must be an object")
-        _check_keys(sub, ("overflow",), pwhere)
-        overflow = _field(sub, "overflow", pwhere, lambda v: isinstance(v, str), "a string",
-                          default=SATURATE)
-        if overflow not in HALF_OVERFLOW_MODES:
-            raise ConfigError(f"{pwhere}: overflow must be one of {', '.join(HALF_OVERFLOW_MODES)}")
-        precision = PrecisionPolicy(overflow=overflow)
-    train_cfg = TrainConfig()
-    if "train" in doc:
-        sub = doc["train"]
-        if not isinstance(sub, dict):
-            raise ConfigError(f"{where}: train must be an object")
-        train_cfg = _parse_train(sub, f"{where}: train")
-    drop = defaults.stop_on_metric_drop
-    if "stop_on_metric_drop" in doc:
-        value = doc["stop_on_metric_drop"]
-        if value is not None and not _is_real(value):
-            raise ConfigError(f"{where}: stop_on_metric_drop must be a number or null")
-        drop = value
-    try:
-        return EvolutionConfig(
-            generations=_field(doc, "generations", where, _is_int, "an integer",
-                               default=defaults.generations),
-            retention_per_generation=_field(doc, "retention_per_generation", where, _is_real,
-                                            "a number", default=defaults.retention_per_generation),
-            train=train_cfg,
-            precision=precision,
-            inherit_weights=_field(doc, "inherit_weights", where,
-                                   lambda v: isinstance(v, bool), "a boolean",
-                                   default=defaults.inherit_weights),
-            stop_on_metric_drop=drop,
-            master_seed=_field(doc, "master_seed", where, _is_int, "an integer",
-                               default=defaults.master_seed),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+def _dataset_source(doc, where: str) -> dict:
+    kind = doc.get("type") if isinstance(doc, dict) else None
+    if not isinstance(kind, str) or kind not in _SOURCE_KEYS:
+        raise ConfigError(f"{where} must be an object with type synthetic, csv or idx, "
+                          f"got {kind!r}")
+    kinds = {"type": str, **_SOURCE_KEYS[kind]}
+    defaults = {k: v for k, v in _SOURCE_DEFAULTS.items() if k in kinds}
+    required = [k for k in kinds if k not in defaults]
+    return {**defaults, **_check_object(doc, where, kinds, required)}
 
 
 @dataclass
@@ -250,24 +136,21 @@ def _load_json(path: str, where: str) -> dict:
 
 
 def load_run_config(path: str) -> RunConfig:
-    doc = _load_json(path, "config")
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config {path}: top level must be an object")
     where = f"config {path}"
-    _check_keys(doc, ("layers", "dataset", "evolution", "out_dir"), where)
-    if "layers" not in doc or "dataset" not in doc:
-        raise ConfigError(f"{where}: keys layers and dataset are required")
-    evolution = EvolutionConfig()
-    if "evolution" in doc:
-        if not isinstance(doc["evolution"], dict):
-            raise ConfigError(f"{where}: evolution must be an object")
-        evolution = _parse_evolution(doc["evolution"], f"{where}: evolution")
-    out_dir = _field(doc, "out_dir", where, lambda v: isinstance(v, str), "a string")
+    doc = _check_object(_load_json(path, "config"), where,
+                        {"layers": list, "dataset": dict, "evolution": EvolutionConfig,
+                         "out_dir": str}, required=("layers", "dataset"))
+    specs = [_build(LayerSpec, entry, f"{where}: layers[{i}]")
+             for i, entry in enumerate(doc["layers"])]
+    try:
+        check_spec(specs)
+    except InvalidSpec as exc:
+        raise ConfigError(f"{where}: layers: {exc}") from exc
     return RunConfig(
-        layer_specs=_parse_layers(doc["layers"], where),
-        dataset_source=_parse_dataset_source(doc["dataset"], f"{where}: dataset"),
-        evolution=evolution,
-        out_dir=out_dir,
+        layer_specs=specs,
+        dataset_source=_dataset_source(doc["dataset"], f"{where}: dataset"),
+        evolution=doc.get("evolution", EvolutionConfig()),
+        out_dir=doc.get("out_dir"),
     )
 
 
@@ -285,7 +168,7 @@ def _load_data_arg(arg: str) -> Dataset:
     if arg.endswith(".csv"):
         return load_csv_dataset(arg)
     doc = _load_json(arg, "data source")
-    return build_dataset(_parse_dataset_source(doc, f"data source {arg}"))
+    return build_dataset(_dataset_source(doc, f"data source {arg}"))
 
 
 # deterministic SVG line charts
@@ -557,15 +440,9 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigError, InvalidParam, InvalidSpec, ValueError) as exc:
+    except EvoSynthError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
 
 
 if __name__ == "__main__":

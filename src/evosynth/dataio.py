@@ -264,17 +264,22 @@ def _load_doc(path: str) -> dict:
     return doc
 
 
-def load_model_meta(path: str) -> ModelMeta:
-    doc = _load_doc(path)
+def _read_meta(doc: dict, path: str) -> ModelMeta:
     precision = doc.get("precision")
     if precision not in ("binary16", "binary32"):
         raise IntegrityError(f"{path}: precision must be binary16 or binary32, got {precision!r}")
-    return ModelMeta(
-        generation=_require(doc, "generation", int, path),
-        precision=precision,
-        seed=_require(doc, "seed", int, path),
-        alpha_history=[float(a) for a in doc.get("alpha_history", [])],
-    )
+    generation = _require(doc, "generation", int, path)
+    seed = _require(doc, "seed", int, path)
+    alpha_history = doc.get("alpha_history", [])
+    if not isinstance(alpha_history, list) or any(
+            isinstance(a, bool) or not isinstance(a, (int, float)) for a in alpha_history):
+        raise IntegrityError(f"{path}: field 'alpha_history' must be a list of numbers")
+    return ModelMeta(generation=generation, precision=precision, seed=seed,
+                     alpha_history=[float(a) for a in alpha_history])
+
+
+def load_model_meta(path: str) -> ModelMeta:
+    return _read_meta(_load_doc(path), path)
 
 
 def _layer_values(entry: dict, key: str, n: int, where: str, as_bits: bool) -> np.ndarray:
@@ -295,7 +300,7 @@ def _layer_values(entry: dict, key: str, n: int, where: str, as_bits: bool) -> n
 def load_model(path: str) -> Network:
     """Reconstruct a network bit-exactly, verifying structural integrity."""
     doc = _load_doc(path)
-    meta = load_model_meta(path)
+    meta = _read_meta(doc, path)
     half = meta.precision == "binary16"
     entries = _require(doc, "layers", list, path)
     if not entries:

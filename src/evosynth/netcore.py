@@ -135,7 +135,8 @@ class Gradients:
     loss: float
 
 
-def _check_spec(spec: Sequence[LayerSpec]) -> None:
+def check_spec(spec: Sequence[LayerSpec]) -> None:
+    """Raise InvalidSpec unless the layers are non-empty, sized, known and chained."""
     if not spec:
         raise InvalidSpec("layer spec is empty")
     for i, s in enumerate(spec):
@@ -156,7 +157,7 @@ def init_network(spec: Sequence[LayerSpec], seed: int) -> Network:
     Weights are drawn uniformly in +-sqrt(6 / (in_dim + out_dim)) from one
     deterministic stream, consumed layer by layer in row-major order.
     """
-    _check_spec(spec)
+    check_spec(spec)
     total = sum(s.in_dim * s.out_dim for s in spec)
     draws = uniform_block(seed, total)
     layers = []
@@ -327,7 +328,7 @@ def train(net: Network, dataset: "Dataset", cfg: TrainConfig) -> tuple[Network, 
     if np.any(y < 0) or np.any(y >= net.n_classes):
         raise InvalidLabel(f"labels must be in [0, {net.n_classes})")
     if len(np.unique(y)) < 2:
-        raise ValueError("dataset must contain at least 2 represented classes")
+        raise InvalidLabel("dataset must contain at least 2 represented classes")
 
     train_idx, val_idx = validation_split(len(y), cfg.validation_fraction, cfg.seed)
     if len(train_idx) < cfg.batch_size:

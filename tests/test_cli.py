@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from evosynth import cli, errors
 from evosynth.cli import run
 from evosynth.dataio import LINEAGE_HEADER, load_model, load_model_meta, save_model
 from evosynth.evolution import derive_seed
@@ -142,6 +143,92 @@ def test_evolve_missing_csv_dataset(tmp_path, capsys):
     cfg = _write_json(tmp_path / "run.json", doc)
     assert run(["evolve", "--config", cfg]) == 2
     assert "absent.csv" in capsys.readouterr().err
+
+
+def _set(*path_and_value):
+    """Config mutation that sets doc[path...] = value."""
+    *path, key, value = path_and_value
+
+    def mutate(doc):
+        for step in path:
+            doc = doc[step]
+        doc[key] = value
+    return mutate
+
+
+HOSTILE_CONFIGS = [
+    ("batch_size", _set("evolution", "train", "batch_size", True)),
+    ("separation", _set("dataset", "separation", "3")),
+    ("precision", _set("evolution", "precision", 5)),
+    ("train", _set("evolution", "train", [])),
+    ("layers", _set("layers", [])),
+    ("top_extra", _set("top_extra", 1)),
+    ("evolution_extra", _set("evolution", "evolution_extra", 1)),
+    ("train_extra", _set("evolution", "train", "train_extra", 1)),
+    ("precision_extra", _set("evolution", "precision", {"precision_extra": 1})),
+    ("layer_extra", _set("layers", 0, "layer_extra", 1)),
+    ("dataset_extra", _set("dataset", "dataset_extra", 1)),
+]
+
+
+@pytest.mark.parametrize("key, mutate", HOSTILE_CONFIGS, ids=[k for k, _ in HOSTILE_CONFIGS])
+def test_evolve_rejects_hostile_config(tmp_path, capsys, key, mutate):
+    doc = _config_doc(out_dir=str(tmp_path / "out"))
+    mutate(doc)
+    cfg = _write_json(tmp_path / "run.json", doc)
+    assert run(["evolve", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert key in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_evolve_one_class_csv_is_data_error(tmp_path, capsys):
+    csv = tmp_path / "one.csv"
+    csv.write_text("f0,f1,f2,f3,f4,f5,f6,f7,label\n" + "1,0,0,0,0,0,0,0,0\n" * 60)
+    doc = _config_doc(out_dir=str(tmp_path / "out"))
+    doc["dataset"] = {"type": "csv", "path": str(csv)}
+    cfg = _write_json(tmp_path / "run.json", doc)
+    assert run(["evolve", "--config", cfg]) == 2
+    assert "2 represented classes" in capsys.readouterr().err
+
+
+# exit codes
+
+
+EXIT_CODES = {
+    errors.ConfigError: 1, errors.InvalidParam: 1, errors.InvalidSpec: 1,
+    errors.BadMagic: 2, errors.CountMismatch: 2, errors.DatasetTooSmall: 2,
+    errors.DeadLayer: 2, errors.EmptyDataset: 2, errors.FormatVersionUnsupported: 2,
+    errors.IntegrityError: 2, errors.InvalidLabel: 2, errors.IoError: 2,
+    errors.NonFiniteFeature: 2, errors.ParseError: 2, errors.ShapeMismatch: 2,
+    errors.TruncatedFile: 2,
+    errors.NumericFailure: 3,
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_exit_code_table_covers_every_error():
+    bases = {errors.UsageError, errors.DataError}
+    assert set(_subclasses(errors.EvoSynthError)) - bases == set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("error, code", EXIT_CODES.items(), ids=[e.__name__ for e in EXIT_CODES])
+def test_error_exit_code(monkeypatch, capsys, error, code):
+    bases = (errors.UsageError, errors.DataError, errors.NumericFailure)
+    assert sum(issubclass(error, base) for base in bases) == 1
+
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_inspect", fail)
+    assert run(["inspect", "--model", "m.json"]) == code
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 # usage errors
@@ -351,3 +438,15 @@ def test_inspect_corrupt_model(tmp_path, capsys):
     path.write_text("{\"format_version\": 9}")
     assert run(["inspect", "--model", str(path)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("history", [5, None, ["x"], [True]], ids=["int", "null", "str", "bool"])
+def test_inspect_rejects_bad_alpha_history(tmp_path, capsys, history):
+    path = tmp_path / "full.json"
+    _full_model(tmp_path, [[0.5, 1.0]])
+    doc = json.loads(path.read_text())
+    doc["alpha_history"] = history
+    assert run(["inspect", "--model", _write_json(path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "alpha_history" in err

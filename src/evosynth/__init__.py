@@ -13,6 +13,7 @@ from .dataio import (
     load_idx,
     load_lineage_report,
     load_model,
+    load_model_and_meta,
     load_model_meta,
     save_lineage_report,
     save_model,

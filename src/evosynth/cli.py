@@ -23,12 +23,11 @@ from .dataio import (
     load_csv_dataset,
     load_idx,
     load_lineage_report,
-    load_model,
-    load_model_meta,
+    load_model_and_meta,
     save_model,
     synth_gaussians,
 )
-from .errors import ConfigError, EvoSynthError, IntegrityError, InvalidSpec, IoError
+from .errors import ConfigError, EvoSynthError, IntegrityError, InvalidSpec, IoError, ParseError
 from .evolution import EvolutionConfig, evolve
 from .halfprec import PrecisionPolicy, SATURATE, TO_INFINITY, quantize_network
 from .netcore import (
@@ -126,9 +125,12 @@ class RunConfig:
 
 
 def _load_json(path: str, where: str) -> dict:
+    def reject(token):
+        raise ConfigError(f"{where} {path}: {token} is not a valid value")
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=reject)
     except OSError as exc:
         raise ConfigError(f"cannot read {where} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -303,10 +305,9 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_quantize(args) -> int:
-    meta = load_model_meta(args.model)
+    net, meta = load_model_and_meta(args.model)
     if meta.precision != "binary32":
         raise IntegrityError(f"{args.model}: expected a binary32 model, found {meta.precision}")
-    net = load_model(args.model)
     policy = PrecisionPolicy(overflow=TO_INFINITY if args.overflow == "inf" else SATURATE)
     quantized = quantize_network(net, policy)
     max_abs = 0.0
@@ -330,8 +331,7 @@ def cmd_quantize(args) -> int:
 def cmd_metrics(args) -> int:
     if not 0.0 < args.validation_fraction < 1.0:
         raise ConfigError("--validation-fraction must be in (0, 1)")
-    net = load_model(args.model)
-    meta = load_model_meta(args.model)
+    net, meta = load_model_and_meta(args.model)
     dataset = _load_data_arg(args.data)
     if args.split == "val":
         # same derivation evolve uses: generation seed -> training substream
@@ -349,6 +349,10 @@ def cmd_metrics(args) -> int:
 
 def cmd_report(args) -> int:
     rows = load_lineage_report(args.lineage)
+    first, last = rows[0], rows[-1]
+    for name in ("active_synapses", "macs"):
+        if last[name] == 0:
+            raise ParseError(f"{args.lineage}: last generation has 0 {name}, so no ratio exists")
     _make_dir(args.svg_out)
     gens = [float(r["generation"]) for r in rows]
     write_line_chart(
@@ -363,7 +367,6 @@ def cmd_report(args) -> int:
         [("precision", gens, [r["precision"] for r in rows]),
          ("recall", gens, [r["recall"] for r in rows])],
     )
-    first, last = rows[0], rows[-1]
     print(json.dumps({
         "synapse_reduction_ratio": first["active_synapses"] / last["active_synapses"],
         "macs_speedup_proxy": first["macs"] / last["macs"],
@@ -372,8 +375,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    net = load_model(args.model)
-    meta = load_model_meta(args.model)
+    net, meta = load_model_and_meta(args.model)
     print(json.dumps({
         "generation": net.generation,
         "precision": meta.precision,

@@ -299,6 +299,11 @@ def _layer_values(entry: dict, key: str, n: int, where: str, as_bits: bool) -> n
 
 def load_model(path: str) -> Network:
     """Reconstruct a network bit-exactly, verifying structural integrity."""
+    return load_model_and_meta(path)[0]
+
+
+def load_model_and_meta(path: str) -> tuple[Network, ModelMeta]:
+    """`load_model` and `load_model_meta` from one read of the file."""
     doc = _load_doc(path)
     meta = _read_meta(doc, path)
     half = meta.precision == "binary16"
@@ -346,7 +351,7 @@ def load_model(path: str) -> Network:
         layers.append(DenseLayer(weights=weights, mask=mask, bias=bias,
                                  activation=activations[i]))
     return Network(layers=layers, generation=meta.generation,
-                   precision_tag=HALF if half else FULL)
+                   precision_tag=HALF if half else FULL), meta
 
 
 # lineage reports

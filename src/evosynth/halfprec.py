@@ -1,12 +1,13 @@
 """Bit-exact IEEE 754 binary16 codec and network-wide precision imposition.
 
-The codec is implemented as integer bit manipulation on the binary32 bit
-patterns (no platform half-precision intrinsics), so encode/decode behave
-identically everywhere and all 65536 codes can be tested exhaustively.
-Rounding is always round-to-nearest, ties-to-even. Finite values whose
-rounded magnitude exceeds the largest finite binary16 (65504) follow the
-policy's overflow rule; true infinities are exact and keep their codes.
-NaN always encodes to the canonical quiet pattern 0x7E00.
+The codec is numpy's float16 cast, which rounds to nearest, ties to even,
+and widens every binary16 code exactly, plus two rules of its own: under
+the saturate policy a finite value whose rounded magnitude exceeds the
+largest finite binary16 (65504) becomes +-65504 instead of +-inf, and NaN
+of any sign or payload encodes to the canonical quiet pattern 0x7E00.
+True infinities are exact and keep their codes. The tests are the oracle:
+they check all 65536 codes and every rounding midpoint against the IEEE
+field formulas, without numpy's float16.
 """
 
 from __future__ import annotations
@@ -37,98 +38,21 @@ class PrecisionPolicy:
             raise ValueError(f"unknown overflow mode {self.overflow!r}")
 
 
-def _f32_bits_to_f16_bits(fbits: np.ndarray, to_infinity: bool) -> np.ndarray:
-    """Convert binary32 bit patterns (uint32) to binary16 bit patterns (uint16)."""
-    f = fbits.astype(np.uint32)
-    h_sgn = ((f >> 16) & np.uint32(0x8000)).astype(np.uint32)
-    f_exp = f & np.uint32(0x7F800000)
-    f_sig = f & np.uint32(0x007FFFFF)
-    out = np.zeros(f.shape, dtype=np.uint32)
-
-    overflow_code = np.uint32(0x7C00 if to_infinity else 0x7BFF)
-
-    # |x| >= 2**16, inf, or NaN
-    big = f_exp >= np.uint32(0x47800000)
-    special = f_exp == np.uint32(0x7F800000)
-    is_nan = special & (f_sig != 0)
-    is_inf = special & (f_sig == 0)
-    out[is_nan] = np.uint32(NAN_F16)
-    out[is_inf] = h_sgn[is_inf] | np.uint32(0x7C00)
-    fin_over = big & ~special
-    out[fin_over] = h_sgn[fin_over] | overflow_code
-
-    # |x| < 2**-14: rounds to a subnormal half or to signed zero
-    small = f_exp <= np.uint32(0x38000000)
-    tiny = small & (f_exp < np.uint32(0x33000000))  # |x| < 2**-25 rounds to 0
-    out[tiny] = h_sgn[tiny]
-    sub = small & ~tiny
-    if np.any(sub):
-        e8 = (f_exp[sub] >> np.uint32(23)).astype(np.uint32)  # 102..112
-        sig = np.uint32(0x00800000) | f_sig[sub]              # explicit leading bit
-        shift = (np.uint32(113) - e8).astype(np.uint32)       # 1..11
-        lost = (f_sig[sub] & np.uint32(0x7FF)) != 0           # bits the shift may drop
-        kept = sig >> shift
-        # ties-to-even: skip the increment only on an exact tie with an
-        # even kept bit and nothing lost below
-        round_up = ((kept & np.uint32(0x3FFF)) != np.uint32(0x1000)) | lost
-        kept = kept + np.where(round_up, np.uint32(0x1000), np.uint32(0))
-        out[sub] = h_sgn[sub] | (kept >> np.uint32(13))
-
-    # normal range
-    norm = ~big & ~small
-    if np.any(norm):
-        h_exp = ((f_exp[norm] - np.uint32(0x38000000)) >> np.uint32(13)).astype(np.uint32)
-        sig = f_sig[norm]
-        round_up = (sig & np.uint32(0x3FFF)) != np.uint32(0x1000)
-        sig = sig + np.where(round_up, np.uint32(0x1000), np.uint32(0))
-        h = h_exp + (sig >> np.uint32(13))  # carry may spill into the exponent
-        over = h >= np.uint32(0x7C00)       # spilled past the largest finite half
-        h = np.where(over, overflow_code, h)
-        out[norm] = h_sgn[norm] | h
-
-    return out.astype(np.uint16)
-
-
-def _f16_bits_to_f32_bits(hbits: np.ndarray) -> np.ndarray:
-    """Exact widening of binary16 bit patterns (uint16) to binary32 (uint32)."""
-    h = hbits.astype(np.uint32)
-    sgn = (h & np.uint32(0x8000)) << np.uint32(16)
-    exp = (h >> np.uint32(10)) & np.uint32(0x1F)
-    sig = h & np.uint32(0x03FF)
-    out = np.zeros(h.shape, dtype=np.uint32)
-
-    norm = (exp > 0) & (exp < 31)
-    out[norm] = sgn[norm] | ((exp[norm] + np.uint32(112)) << np.uint32(23)) | (sig[norm] << np.uint32(13))
-
-    special = exp == 31
-    out[special] = sgn[special] | np.uint32(0x7F800000) | (sig[special] << np.uint32(13))
-
-    zero = (exp == 0) & (sig == 0)
-    out[zero] = sgn[zero]
-
-    sub = (exp == 0) & (sig > 0)
-    if np.any(sub):
-        s = sig[sub]
-        # bit length of a 10-bit value, without float log tricks
-        k = np.zeros(s.shape, dtype=np.uint32)
-        for b in range(1, 11):
-            k[s >= (1 << (b - 1))] = b
-        # value = s * 2**-24 = (s / 2**(k-1)) * 2**(k-25)
-        out[sub] = sgn[sub] | ((k + np.uint32(102)) << np.uint32(23)) | ((s << (np.uint32(24) - k)) & np.uint32(0x7FFFFF))
-
-    return out
-
-
 def encode_array(values: np.ndarray, policy: PrecisionPolicy = PrecisionPolicy()) -> np.ndarray:
     """Encode an array of binary32 values to binary16 codes (uint16)."""
     arr = np.ascontiguousarray(values, dtype=np.float32)
-    return _f32_bits_to_f16_bits(arr.view(np.uint32), policy.overflow == TO_INFINITY).reshape(arr.shape)
+    with np.errstate(over="ignore"):
+        codes = arr.astype(np.float16).view(np.uint16)
+    if policy.overflow == SATURATE:
+        over = ((codes & 0x7FFF) == 0x7C00) & np.isfinite(arr)
+        codes[over] = (codes[over] & 0x8000) | 0x7BFF
+    codes[np.isnan(arr)] = NAN_F16
+    return codes
 
 
 def decode_array(codes: np.ndarray) -> np.ndarray:
     """Decode binary16 codes (uint16) to their exact binary32 values."""
-    arr = np.ascontiguousarray(codes, dtype=np.uint16)
-    return _f16_bits_to_f32_bits(arr).reshape(arr.shape).view(np.float32)
+    return np.ascontiguousarray(codes, dtype=np.uint16).view(np.float16).astype(np.float32)
 
 
 def encode_f16(x: float, policy: PrecisionPolicy = PrecisionPolicy()) -> int:

@@ -168,6 +168,10 @@ HOSTILE_CONFIGS = [
     ("precision_extra", _set("evolution", "precision", {"precision_extra": 1})),
     ("layer_extra", _set("layers", 0, "layer_extra", 1)),
     ("dataset_extra", _set("dataset", "dataset_extra", 1)),
+    # json.dumps writes these as the bare tokens NaN, Infinity and -Infinity
+    ("NaN", _set("evolution", "stop_on_metric_drop", float("nan"))),
+    ("Infinity", _set("evolution", "train", "learning_rate", float("inf"))),
+    ("-Infinity", _set("dataset", "separation", float("-inf"))),
 ]
 
 
@@ -410,6 +414,20 @@ def test_report_single_row(tmp_path, capsys):
     assert "<circle" in text
 
 
+@pytest.mark.parametrize("column, last_row", [
+    ("active_synapses", "2,1,0,10,0,0.5,0.9,0.9,0.9,8"),
+    ("macs", "2,1,10,10,0,0.5,0.9,0.9,0.9,8"),
+])
+def test_report_zero_last_row_is_data_error(tmp_path, capsys, column, last_row):
+    lines = [LINEAGE_HEADER, "1,1,10,10,12,0.5,0.9,0.9,0.9,7", last_row]
+    path = tmp_path / "lineage.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert run(["report", "--lineage", str(path), "--svg-out", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err and column in err
+
+
 def test_report_missing_lineage(tmp_path, capsys):
     assert run(["report", "--lineage", "/nonexistent/l.csv",
                 "--svg-out", str(tmp_path)]) == 2
@@ -450,3 +468,25 @@ def test_inspect_rejects_bad_alpha_history(tmp_path, capsys, history):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "alpha_history" in err
+
+
+# each read command parses its model file once
+
+
+@pytest.mark.parametrize("command", ["inspect", "metrics", "quantize"])
+def test_read_commands_parse_the_model_once(run_dir, tmp_path, monkeypatch, capsys, command):
+    model = _full_model(tmp_path, [[0.5, 1.0]]) if command == "quantize" else str(run_dir / "gen_2.json")
+    argv = {"inspect": [],
+            "metrics": ["--data", _write_json(tmp_path / "source.json", DATASET_SOURCE)],
+            "quantize": ["--out", str(tmp_path / "half.json")]}[command]
+    parsed = []
+    real_load = json.load
+
+    def counting_load(fh, **kwargs):
+        parsed.append(fh.name)
+        return real_load(fh, **kwargs)
+
+    monkeypatch.setattr(json, "load", counting_load)
+    assert run([command, "--model", model, *argv]) == 0
+    capsys.readouterr()
+    assert parsed.count(model) == 1

@@ -1,9 +1,11 @@
 """Bit-exact binary16 codec tests.
 
-numpy's float16 cast is used as the independent reference converter: it
-implements IEEE round-to-nearest-even with overflow to infinity, which
-matches the to_infinity policy exactly; the saturate policy differs only
-on finite values beyond the binary16 range.
+The codec is built on numpy's float16 cast, so the tests that compare it
+with numpy only pin the to_infinity policy to plain numpy; they are not
+an independent check. The independent oracle is at the end of this file:
+every finite code decodes to its IEEE field formula, and every rounding
+midpoint, with its binary32 neighbours, encodes as round-to-nearest-even
+demands, all without numpy's float16.
 """
 
 import numpy as np
@@ -216,3 +218,43 @@ def test_quantize_rejects_non_finite():
     net.layers[0].weights[0, 0] = np.float32("nan")
     with pytest.raises(NumericFailure):
         quantize_network(net, SAT)
+
+
+# independent oracle: IEEE binary16 field formulas, no numpy float16
+
+
+def _field_values(codes):
+    """Exact float64 value of finite binary16 codes from their sign, exponent
+    and significand fields."""
+    c = codes.astype(np.int64)
+    e, m = (c >> 10) & 0x1F, c & SIG_MASK
+    magnitude = np.where(e == 0, np.ldexp(m.astype(np.float64), -24),
+                         np.ldexp((1024 + m).astype(np.float64), np.maximum(e, 1) - 25))
+    return np.where(c & 0x8000, -magnitude, magnitude)
+
+
+FINITE_CODES = ALL_CODES[(ALL_CODES & EXP_MASK) != EXP_MASK]
+
+
+def test_decode_matches_field_formula_all_finite_codes():
+    decoded = decode_array(FINITE_CODES)
+    assert decoded.dtype == np.float32
+    assert np.array_equal(decoded.astype(np.float64), _field_values(FINITE_CODES))
+    assert np.array_equal(np.signbit(decoded), (FINITE_CODES & 0x8000) != 0)  # covers +-0
+
+
+def test_encode_rounds_every_midpoint_to_even():
+    low = np.arange(0x7BFF, dtype=np.uint16)  # every finite pair (h, h + 1) below 0x7BFF
+    high = low + np.uint16(1)
+    mid64 = (_field_values(low) + _field_values(high)) / 2
+    mid = mid64.astype(np.float32)
+    assert np.array_equal(mid.astype(np.float64), mid64)  # 12 significant bits: exact
+    even = np.where(low & 1, high, low)
+    up = np.nextafter(mid, np.float32(np.inf))
+    down = np.nextafter(mid, np.float32(0.0))
+    for policy in (SAT, INF):
+        for sign in (np.uint16(0), np.uint16(0x8000)):
+            flip = np.float32(-1.0) if sign else np.float32(1.0)
+            assert np.array_equal(encode_array(flip * mid, policy), even | sign)
+            assert np.array_equal(encode_array(flip * up, policy), high | sign)
+            assert np.array_equal(encode_array(flip * down, policy), low | sign)

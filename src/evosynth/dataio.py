@@ -9,6 +9,7 @@ digits, which is enough to reproduce any binary32 value exactly.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -249,9 +250,12 @@ def _require(doc: dict, key: str, kind, where: str):
 
 
 def _load_doc(path: str) -> dict:
+    def reject(token):
+        raise IntegrityError(f"{path}: {token} is not a valid value")
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=reject)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -385,7 +389,13 @@ def save_lineage_report(lineage: "Lineage", path: str) -> None:
 
 
 _INT_COLUMNS = ("generation", "active_synapses", "total_synapses", "macs", "seed")
-_REAL_COLUMNS = ("alpha", "train_loss", "precision", "recall", "f1")
+
+
+def _finite(cell: str) -> float:
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {cell!r}")
+    return value
 
 
 def load_lineage_report(path: str) -> list[dict]:
@@ -408,7 +418,7 @@ def load_lineage_report(path: str) -> list[dict]:
         row = {}
         for name, cell in zip(names, cells):
             try:
-                row[name] = int(cell) if name in _INT_COLUMNS else float(cell)
+                row[name] = int(cell) if name in _INT_COLUMNS else _finite(cell)
             except ValueError:
                 raise ParseError(f"{path} line {lineno}: bad value for {name}: {cell!r}") from None
         rows.append(row)

@@ -2,16 +2,19 @@
 
 The DNA of a network is a per-synapse survival probability derived from
 weight magnitudes: within each layer, p = |w| / max|w| over the active
-synapses. An environmental factor alpha scales those probabilities down
-(never up), and an offspring topology is drawn one Bernoulli trial per
-synapse. Synapses absent in the parent have probability 0, so topology
-can only sparsify across generations.
+synapses. An environmental factor alpha in (0, 1] scales those
+probabilities down (never up), and an offspring topology is drawn one
+Bernoulli trial per synapse. Synapses absent in the parent have
+probability 0, so topology can only sparsify across generations.
+
+Expected density is linear in alpha, e(alpha) = alpha * e(1), so the
+alpha that meets a retention target is the closed form
+alpha = min(1, target / e(1)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -34,23 +37,13 @@ class SynapticProbabilityModel:
 
 @dataclass(frozen=True)
 class EnvironmentalFactor:
-    """Global survival scale in (0, 1], with optional per-layer overrides."""
+    """Global survival scale in (0, 1]."""
 
     alpha: float
-    layer_overrides: Mapping[int, float] | None = None
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.layer_overrides:
-            for idx, a in self.layer_overrides.items():
-                if not 0.0 < a <= 1.0:
-                    raise ValueError(f"override for layer {idx} must be in (0, 1], got {a}")
-
-    def layer_alpha(self, index: int) -> float:
-        if self.layer_overrides and index in self.layer_overrides:
-            return self.layer_overrides[index]
-        return self.alpha
 
 
 @dataclass(frozen=True)
@@ -59,7 +52,8 @@ class CalibrationResult:
 
     ``saturated`` means the target sits above what alpha = 1 can reach, so
     the returned factor is the identity and the realized expectation is
-    ``expected`` rather than the target.
+    ``expected`` rather than the target. ``iterations`` is always 0: the
+    inversion is one division, not a search.
     """
 
     env: EnvironmentalFactor
@@ -85,12 +79,12 @@ def encode_dna(net: Network) -> SynapticProbabilityModel:
 
 
 def synthesis_probability(dna: SynapticProbabilityModel, env: EnvironmentalFactor) -> list[np.ndarray]:
-    """Per-synapse sampling probabilities q = min(1, alpha * p)."""
-    if env.layer_overrides:
-        for idx in env.layer_overrides:
-            if not 0 <= idx < len(dna.layers):
-                raise ValueError(f"override for layer {idx}, model has {len(dna.layers)} layers")
-    return [np.minimum(1.0, env.layer_alpha(i) * p) for i, p in enumerate(dna.layers)]
+    """Per-synapse sampling probabilities q = alpha * p.
+
+    Both factors lie in [0, 1] (p by construction in ``encode_dna``, alpha
+    by ``EnvironmentalFactor``), so q does too and needs no clamp.
+    """
+    return [env.alpha * p for p in dna.layers]
 
 
 def synthesize_offspring(dna: SynapticProbabilityModel, env: EnvironmentalFactor, seed: int) -> SynapseMask:
@@ -137,11 +131,10 @@ def expected_density(dna: SynapticProbabilityModel, env: EnvironmentalFactor) ->
 
 
 def calibrate_alpha(dna: SynapticProbabilityModel, target_retention: float) -> CalibrationResult:
-    """Find the global alpha whose expected density matches the target.
+    """The global alpha whose expected density matches the target.
 
-    Expected density is non-decreasing and 1-Lipschitz in alpha, so 64
-    bisection steps on (0, 1] pin it well below the 1e-4 tolerance. When
-    even alpha = 1 cannot reach the target the identity factor is
+    Expected density is alpha * e(1), so alpha = min(1, target / e(1)).
+    When even alpha = 1 cannot reach the target the identity factor is
     returned with the saturated flag set.
     """
     if not 0.0 < target_retention <= 1.0:
@@ -149,24 +142,8 @@ def calibrate_alpha(dna: SynapticProbabilityModel, target_retention: float) -> C
     env_one = EnvironmentalFactor(1.0)
     e_one = expected_density(dna, env_one)
     if e_one <= target_retention:
-        return CalibrationResult(
-            env=env_one,
-            expected=e_one,
-            saturated=e_one < target_retention,
-            iterations=0,
-        )
-    lo, hi = 0.0, 1.0
-    mid, e_mid = 1.0, e_one
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        e_mid = expected_density(dna, EnvironmentalFactor(mid))
-        if e_mid < target_retention:
-            lo = mid
-        else:
-            hi = mid
-    return CalibrationResult(
-        env=EnvironmentalFactor(mid),
-        expected=e_mid,
-        saturated=False,
-        iterations=64,
-    )
+        return CalibrationResult(env=env_one, expected=e_one,
+                                 saturated=e_one < target_retention, iterations=0)
+    env = EnvironmentalFactor(target_retention / e_one)
+    return CalibrationResult(env=env, expected=expected_density(dna, env),
+                             saturated=False, iterations=0)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericFailure
+from .netcore import DenseLayer, HALF, Network
 
 NAN_F16 = 0x7E00
 MAX_FINITE_F16 = 65504.0
@@ -69,7 +70,7 @@ def decode_f16(h: int) -> float:
     return float(decode_array(np.array([h], dtype=np.uint16))[0])
 
 
-def quantize_network(net, policy: PrecisionPolicy = PrecisionPolicy()):
+def quantize_network(net: Network, policy: PrecisionPolicy = PrecisionPolicy()) -> Network:
     """Round every weight and bias of a network through binary16.
 
     Masked positions are exactly 0.0 before and after (0.0 encodes to code
@@ -77,8 +78,6 @@ def quantize_network(net, policy: PrecisionPolicy = PrecisionPolicy()):
     leaves all values unchanged. The returned copy carries
     ``precision_tag = "half"``.
     """
-    from .netcore import DenseLayer, Network  # deferred to avoid an import cycle
-
     for i, layer in enumerate(net.layers):
         if not (np.all(np.isfinite(layer.weights)) and np.all(np.isfinite(layer.bias))):
             raise NumericFailure(f"non-finite parameter in layer {i}")
@@ -91,4 +90,4 @@ def quantize_network(net, policy: PrecisionPolicy = PrecisionPolicy()):
         )
         for layer in net.layers
     ]
-    return Network(layers=layers, generation=net.generation, precision_tag="half")
+    return Network(layers=layers, generation=net.generation, precision_tag=HALF)

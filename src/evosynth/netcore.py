@@ -213,6 +213,11 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return logits - m - np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
 
 
+def _nll(logp: np.ndarray, y: np.ndarray) -> float:
+    """Mean negative log-likelihood of the labels under log-probabilities."""
+    return float(-logp[np.arange(len(y)), y].mean())
+
+
 def _masked(weights: np.ndarray, mask: np.ndarray) -> np.ndarray:
     # np.where, not multiplication: -w * 0 would leave a negative zero,
     # which is not the canonical bit pattern masked slots must hold
@@ -226,6 +231,11 @@ def _working_params(net: Network):
     return ws, bs, acts
 
 
+def _check_labels(net: Network, labels: np.ndarray):
+    if np.any(labels < 0) or np.any(labels >= net.n_classes):
+        raise InvalidLabel(f"labels must be in [0, {net.n_classes})")
+
+
 def _check_batch(net: Network, inputs: np.ndarray, labels: np.ndarray):
     if inputs.ndim != 2 or inputs.shape[1] != net.in_dim:
         raise ShapeMismatch(
@@ -233,8 +243,7 @@ def _check_batch(net: Network, inputs: np.ndarray, labels: np.ndarray):
         )
     if len(labels) != len(inputs) or len(inputs) == 0:
         raise ShapeMismatch("batch is empty or labels do not match inputs")
-    if np.any(labels < 0) or np.any(labels >= net.n_classes):
-        raise InvalidLabel(f"labels must be in [0, {net.n_classes})")
+    _check_labels(net, labels)
 
 
 def forward(net: Network, input: Sequence[float]) -> np.ndarray:
@@ -265,15 +274,14 @@ def mean_loss(net: Network, batch_inputs: np.ndarray, batch_labels: np.ndarray) 
     _check_batch(net, x, y)
     ws, bs, acts = _working_params(net)
     _, logits = _forward_core(ws, bs, acts, x)
-    logp = _log_softmax(logits)
-    return float(-logp[np.arange(len(y)), y].mean())
+    return _nll(_log_softmax(logits), y)
 
 
 def _backprop(ws, bs, acts, masks, x, y):
     n = len(y)
     activations, logits = _forward_core(ws, bs, acts, x)
     logp = _log_softmax(logits)
-    loss = float(-logp[np.arange(n), y].mean())
+    loss = _nll(logp, y)
     dz = np.exp(logp)
     dz[np.arange(n), y] -= 1.0
     dz /= n
@@ -325,8 +333,7 @@ def train(net: Network, dataset: "Dataset", cfg: TrainConfig) -> tuple[Network, 
     y = np.asarray(dataset.labels, dtype=np.int64)
     if x.ndim != 2 or x.shape[1] != net.in_dim:
         raise ShapeMismatch(f"dataset features must be [n, {net.in_dim}], got {x.shape}")
-    if np.any(y < 0) or np.any(y >= net.n_classes):
-        raise InvalidLabel(f"labels must be in [0, {net.n_classes})")
+    _check_labels(net, y)
     if len(np.unique(y)) < 2:
         raise InvalidLabel("dataset must contain at least 2 represented classes")
 
@@ -345,8 +352,7 @@ def train(net: Network, dataset: "Dataset", cfg: TrainConfig) -> tuple[Network, 
 
     def val_loss_of(cur_ws, cur_bs) -> float:
         _, logits = _forward_core(cur_ws, cur_bs, acts, x_val)
-        logp = _log_softmax(logits)
-        return float(-logp[np.arange(len(y_val)), y_val].mean())
+        return _nll(_log_softmax(logits), y_val)
 
     log = TrainingLog()
     best_val = val_loss_of(ws, bs)
@@ -420,8 +426,7 @@ def evaluate_classifier(net: Network, features: np.ndarray, labels: np.ndarray) 
     """
     probs = forward_batch(net, features)
     y = np.asarray(labels, dtype=np.int64)
-    if np.any(y < 0) or np.any(y >= net.n_classes):
-        raise InvalidLabel(f"labels must be in [0, {net.n_classes})")
+    _check_labels(net, y)
     preds = probs.argmax(axis=1)
     c = net.n_classes
     confusion = np.zeros((c, c), dtype=np.int64)

@@ -146,7 +146,7 @@ def test_evolve_missing_csv_dataset(tmp_path, capsys):
 
 
 def _set(*path_and_value):
-    """Config mutation that sets doc[path...] = value."""
+    """Config or model mutation that sets doc[path...] = value."""
     *path, key, value = path_and_value
 
     def mutate(doc):
@@ -300,12 +300,6 @@ def test_quantize_rejects_half_input(tmp_path, capsys):
     assert "binary32" in capsys.readouterr().err
 
 
-def test_quantize_nonfinite_input_is_numeric_failure(tmp_path, capsys):
-    src = _full_model(tmp_path, [[float("inf"), 1.0]])
-    assert run(["quantize", "--model", src, "--out", str(tmp_path / "q.json")]) == 3
-    assert "non-finite" in capsys.readouterr().err
-
-
 def test_quantize_missing_model(capsys):
     assert run(["quantize", "--model", "/nonexistent/m.json",
                 "--out", "/tmp/never.json"]) == 2
@@ -428,6 +422,17 @@ def test_report_zero_last_row_is_data_error(tmp_path, capsys, column, last_row):
     assert str(path) in err and column in err
 
 
+def test_report_non_finite_cell_is_data_error(tmp_path, capsys):
+    lines = [LINEAGE_HEADER, "1,1,10,10,12,0.5,0.9,0.9,0.9,7", "2,1,5,10,7,nan,0.9,0.9,0.9,8"]
+    path = tmp_path / "lineage.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert run(["report", "--lineage", str(path), "--svg-out", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "line 3" in err and "train_loss" in err
+    assert not (tmp_path / "c").exists()
+
+
 def test_report_missing_lineage(tmp_path, capsys):
     assert run(["report", "--lineage", "/nonexistent/l.csv",
                 "--svg-out", str(tmp_path)]) == 2
@@ -468,6 +473,32 @@ def test_inspect_rejects_bad_alpha_history(tmp_path, capsys, history):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "alpha_history" in err
+
+
+# json.dumps writes these as the bare tokens NaN, Infinity and -Infinity
+HOSTILE_MODELS = [
+    ("metrics", "NaN", _set("layers", 0, "weights_f32", 0, float("nan"))),
+    ("inspect", "Infinity", _set("alpha_history", [1.0, float("inf")])),
+    ("quantize", "Infinity", _set("layers", 0, "weights_f32", 0, float("inf"))),
+    ("quantize", "-Infinity", _set("layers", 0, "bias_f32", 0, float("-inf"))),
+]
+
+
+@pytest.mark.parametrize("command, token, mutate", HOSTILE_MODELS,
+                         ids=[f"{c}-{t}" for c, t, _ in HOSTILE_MODELS])
+def test_read_commands_reject_non_finite_tokens(tmp_path, capsys, command, token, mutate):
+    path = tmp_path / "full.json"
+    _full_model(tmp_path, np.full((2, 8), 0.5))
+    doc = json.loads(path.read_text())
+    mutate(doc)
+    argv = {"inspect": [],
+            "metrics": ["--data", _write_json(tmp_path / "source.json", DATASET_SOURCE)],
+            "quantize": ["--out", str(tmp_path / "half.json")]}[command]
+    assert run([command, "--model", _write_json(path, doc), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"{token} is not a valid value" in captured.err
 
 
 # each read command parses its model file once

@@ -456,6 +456,33 @@ def test_model_weight_entries_must_be_numbers(tmp_path):
         load_model(_doc(tmp_path, mutate))
 
 
+def _put(*path_and_value):
+    """Model mutation that sets doc[path...] = value."""
+    *path, key, value = path_and_value
+
+    def mutate(doc):
+        for step in path:
+            doc = doc[step]
+        doc[key] = value
+    return mutate
+
+
+# json.dumps writes these as the bare tokens NaN, Infinity and -Infinity
+NON_FINITE_MODELS = [
+    ("NaN", _put("layers", 0, "weights_f32", 0, float("nan"))),
+    ("Infinity", _put("alpha_history", [1.0, float("inf")])),
+    ("-Infinity", _put("layers", 1, "bias_f32", 0, float("-inf"))),
+]
+
+
+@pytest.mark.parametrize("token, mutate", NON_FINITE_MODELS, ids=[t for t, _ in NON_FINITE_MODELS])
+def test_model_rejects_non_finite_tokens(tmp_path, token, mutate):
+    p = _doc(tmp_path, mutate)
+    for load in (load_model, load_model_meta):
+        with pytest.raises(IntegrityError, match=f"{token} is not a valid value"):
+            load(p)
+
+
 def test_model_invalid_json(tmp_path):
     p = tmp_path / "m.json"
     p.write_text("{not json")
@@ -545,6 +572,15 @@ def test_lineage_load_bad_value(tmp_path):
     row = "1,1.0,100,128,200,0.5,0.9,0.85,oops,42"
     p.write_text(LINEAGE_HEADER + "\n" + row + "\n")
     with pytest.raises(ParseError, match="f1"):
+        load_lineage_report(str(p))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "Infinity"])
+def test_lineage_load_rejects_non_finite_real(tmp_path, cell):
+    p = tmp_path / "l.csv"
+    rows = ["1,1,100,128,200,0.5,0.9,0.85,0.875,42", f"2,{cell},90,128,190,0.5,0.9,0.85,0.875,43"]
+    p.write_text(LINEAGE_HEADER + "\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ParseError, match="line 3: bad value for alpha"):
         load_lineage_report(str(p))
 
 

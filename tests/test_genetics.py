@@ -96,20 +96,9 @@ def test_synthesis_probability_scales():
     assert np.allclose(qs[0], [0.8, 0.4, 0.0])
 
 
-def test_synthesis_probability_override_takes_precedence():
-    env = EnvironmentalFactor(0.5, layer_overrides={0: 1.0})
-    qs = synthesis_probability(_spm([[0.9]]), env)
-    assert qs[0].tolist() == [0.9]
-
-
 def test_synthesis_probability_clamped_at_one():
     qs = synthesis_probability(_spm([[1.0, 1.0]]), EnvironmentalFactor(1.0))
     assert np.all(qs[0] <= 1.0)
-
-
-def test_synthesis_probability_bad_override_index():
-    with pytest.raises(ValueError):
-        synthesis_probability(_spm([[1.0]]), EnvironmentalFactor(0.5, layer_overrides={3: 0.5}))
 
 
 def test_environment_validation():
@@ -117,10 +106,6 @@ def test_environment_validation():
         EnvironmentalFactor(0.0)
     with pytest.raises(ValueError):
         EnvironmentalFactor(1.5)
-    with pytest.raises(ValueError):
-        EnvironmentalFactor(0.5, layer_overrides={0: 0.0})
-    assert EnvironmentalFactor(0.5, layer_overrides={1: 0.25}).layer_alpha(1) == 0.25
-    assert EnvironmentalFactor(0.5, layer_overrides={1: 0.25}).layer_alpha(0) == 0.5
 
 
 # offspring sampling
@@ -267,3 +252,23 @@ def test_calibrate_inverts_expected_density():
         res = calibrate_alpha(dna, target)
         assert abs(res.env.alpha - alpha_star) <= 1e-3
         assert abs(res.expected - target) <= 1e-4
+
+
+def test_calibrate_is_the_closed_form_quotient():
+    # e(alpha) = alpha * e(1), so below saturation alpha is target / e(1) exactly
+    rng = np.random.default_rng(45)
+    for trial in range(200):
+        layers = []
+        for _ in range(int(rng.integers(1, 4))):
+            p = rng.random((int(rng.integers(2, 9)), int(rng.integers(2, 9))))
+            p[p < 0.3] = 0.0
+            p.flat[rng.integers(0, p.size)] = 1.0
+            layers.append(p)
+        dna = _spm(layers)
+        e_one = expected_density(dna, EnvironmentalFactor(1.0))
+        target = float(rng.uniform(0.01, 1.0)) * e_one
+        res = calibrate_alpha(dna, target)
+        assert not res.saturated
+        assert res.iterations == 0
+        assert res.env.alpha == target / e_one
+        assert abs(res.expected - target) <= 1e-12

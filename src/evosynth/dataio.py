@@ -298,7 +298,11 @@ def _layer_values(entry: dict, key: str, n: int, where: str, as_bits: bool) -> n
     for v in values:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise IntegrityError(f"{where}: {key} entries must be numbers")
-    return np.asarray(values, dtype=np.float64).astype(np.float32)
+    with np.errstate(over="ignore"):
+        out = np.asarray(values, dtype=np.float64).astype(np.float32)
+    if not np.all(np.isfinite(out)):
+        raise IntegrityError(f"{where}: {key} entries must be finite binary32 values")
+    return out
 
 
 def load_model(path: str) -> Network:

@@ -13,6 +13,7 @@ back to binary32 at the end of training.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -360,6 +361,7 @@ def train(net: Network, dataset: "Dataset", cfg: TrainConfig) -> tuple[Network, 
     best_bs = [b.copy() for b in bs]
     epochs_since_best = 0
 
+    momentum, lr = cfg.momentum, cfg.learning_rate
     for epoch in range(1, cfg.max_epochs + 1):
         order = permutation(len(train_idx), substream(cfg.seed, epoch))
         shuffled = train_idx[order]
@@ -367,14 +369,16 @@ def train(net: Network, dataset: "Dataset", cfg: TrainConfig) -> tuple[Network, 
         for start in range(0, len(shuffled), cfg.batch_size):
             idx = shuffled[start:start + cfg.batch_size]
             w_grads, b_grads, loss = _backprop(ws, bs, acts, masks, x[idx], y[idx])
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise NumericFailure(f"non-finite training loss at epoch {epoch}")
             loss_sum += loss * len(idx)
-            for i in range(len(ws)):
-                vel_w[i] = cfg.momentum * vel_w[i] - cfg.learning_rate * w_grads[i]
-                vel_b[i] = cfg.momentum * vel_b[i] - cfg.learning_rate * b_grads[i]
-                ws[i] += vel_w[i]
-                bs[i] += vel_b[i]
+            # v <- momentum * v - lr * g, in place; the gradients are fresh
+            # arrays, so lr * g overwrites them
+            for params, vels, grads in ((ws, vel_w, w_grads), (bs, vel_b, b_grads)):
+                for param, vel, grad in zip(params, vels, grads):
+                    vel *= momentum
+                    vel -= np.multiply(grad, lr, out=grad)
+                    param += vel
         for w in ws:
             if not np.all(np.isfinite(w)):
                 raise NumericFailure(f"non-finite weight at epoch {epoch}")

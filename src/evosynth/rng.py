@@ -10,6 +10,11 @@ Stream definition: output k (0-based) of the stream with seed ``s`` is
 classic SplitMix64 sequence (Steele, Lea & Flood; the same generator Java
 ships as SplittableRandom). ``mix64`` is its finalizer. The first output
 for seed 0 is the published test vector 0xE220A8397B1DCDAF.
+
+Blocks of the stream (``uniform_block``, the swap targets of
+``permutation``) are computed as one wrapping uint64 vector, bit-identical
+to the sequential ``SplitMix64`` draws. ``permutation`` falls back to the
+scalar Fisher-Yates loop only when a draw would be rejected.
 """
 
 from __future__ import annotations
@@ -44,21 +49,26 @@ def substream(seed: int, index: int) -> int:
     return mix64((seed + (index + 1) * GOLDEN_GAMMA) & _MASK64)
 
 
-def uniform_block(seed: int, count: int) -> np.ndarray:
-    """First ``count`` doubles in [0, 1) of the stream, as one vector.
+def _u64_block(seed: int, count: int) -> np.ndarray:
+    """First ``count`` raw outputs of the stream, as one uint64 vector.
 
-    Bit-identical to ``count`` successive ``SplitMix64.next_float()`` calls;
-    the whole block is computed with wrapping uint64 vector arithmetic.
+    Bit-identical to ``count`` successive ``SplitMix64.next_u64()`` calls;
+    numpy's uint64 arithmetic wraps modulo 2**64 like the scalar masks.
     """
-    if count == 0:
-        return np.empty(0, dtype=np.float64)
     ks = np.arange(1, count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
         z = np.uint64(seed & _MASK64) + ks * np.uint64(GOLDEN_GAMMA)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_K1)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_K2)
-        z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    return z ^ (z >> np.uint64(31))
+
+
+def uniform_block(seed: int, count: int) -> np.ndarray:
+    """First ``count`` doubles in [0, 1) of the stream, as one vector.
+
+    Bit-identical to ``count`` successive ``SplitMix64.next_float()`` calls.
+    """
+    return (_u64_block(seed, count) >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
 class SplitMix64:
@@ -86,16 +96,44 @@ class SplitMix64:
                 return u % bound
 
 
-def permutation(n: int, seed: int) -> np.ndarray:
-    """Deterministic Fisher-Yates permutation of range(n).
+def _rejected(u: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Where ``next_below(bounds)`` would reject draw ``u``, elementwise.
 
-    Swap targets come from one SplitMix64 stream: positions n-1 down to 1
-    each consume draws until ``next_below`` accepts (rejection is all but
-    impossible for desk-scale n).
+    The scalar rule accepts ``u < 2**64 - r`` with ``r = 2**64 mod bound``.
+    In wrapping uint64, ``r = (0 - bound) % bound`` and ``2**64 - r`` is
+    ``0 - r``; when ``r`` is 0 every draw is accepted.
     """
+    rem = (np.uint64(0) - bounds) % bounds
+    return (rem != 0) & (u >= np.uint64(0) - rem)
+
+
+def _permutation_scalar(n: int, seed: int) -> np.ndarray:
+    """Fisher-Yates with one ``next_below`` call per position."""
     order = np.arange(n, dtype=np.int64)
     rng = SplitMix64(seed)
     for i in range(n - 1, 0, -1):
         j = rng.next_below(i + 1)
         order[i], order[j] = order[j], order[i]
     return order
+
+
+def permutation(n: int, seed: int) -> np.ndarray:
+    """Deterministic Fisher-Yates permutation of range(n).
+
+    Swap targets come from one SplitMix64 stream: positions n-1 down to 1
+    each consume draws until ``next_below`` accepts. All ``n - 1`` first
+    draws are computed as one uint64 block and reduced modulo their bounds;
+    only the swaps run one by one. If any draw in the block would be
+    rejected (probability about n**2 / 2**64), the whole permutation is
+    redrawn by the scalar loop, which consumes the extra draws.
+    """
+    if n < 2:
+        return np.arange(n, dtype=np.int64)
+    bounds = np.arange(n, 1, -1, dtype=np.uint64)  # i + 1 for i = n-1 .. 1
+    u = _u64_block(seed, n - 1)
+    if _rejected(u, bounds).any():
+        return _permutation_scalar(n, seed)
+    order = list(range(n))
+    for i, j in zip(range(n - 1, 0, -1), (u % bounds).tolist()):
+        order[i], order[j] = order[j], order[i]
+    return np.array(order, dtype=np.int64)

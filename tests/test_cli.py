@@ -1,6 +1,7 @@
 """Black-box command-line tests: exit codes, files, printed JSON."""
 
 import contextlib
+import hashlib
 import io
 import json
 
@@ -82,6 +83,33 @@ def test_evolve_is_reproducible(run_dir, tmp_path, capsys):
     capsys.readouterr()
     for name in ("lineage.csv", "gen_4.json", "run_summary.json"):
         assert (tmp_path / "out" / name).read_bytes() == (run_dir / name).read_bytes()
+
+
+# sha256 over the sorted (name, content sha256) pairs of the output files of
+# the acceptance run: 16-64-32-2, synth_gaussians(500, 16, 3.0, seed 0),
+# 13 generations, master seed 1. A change to any output byte moves it.
+ACCEPTANCE_SEED_1_DIGEST = "db2631e9e24a74a1919fe1608d5ba50d86bc5504af2d123cc937fc54e0a9db8f"
+
+
+def _dir_digest(path):
+    h = hashlib.sha256()
+    for f in sorted(p for p in path.iterdir() if p.is_file()):
+        h.update(f.name.encode() + b"\0" + hashlib.sha256(f.read_bytes()).digest())
+    return h.hexdigest()
+
+
+def test_evolve_output_bytes_are_pinned(tmp_path, capsys):
+    widths = (16, 64, 32, 2)
+    doc = {"layers": [{"in_dim": a, "out_dim": b, "activation": "relu"}
+                      for a, b in zip(widths, widths[1:])],
+           "dataset": {"type": "synthetic", "n_per_class": 500, "n_features": 16,
+                       "separation": 3.0, "seed": 0},
+           "evolution": {"generations": 13}}
+    cfg = _write_json(tmp_path / "run.json", doc)
+    out = tmp_path / "out"
+    assert run(["evolve", "--config", cfg, "--seed", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert _dir_digest(out) == ACCEPTANCE_SEED_1_DIGEST
 
 
 def test_evolve_seed_flag_overrides(run_dir, tmp_path, capsys):
@@ -499,6 +527,29 @@ def test_read_commands_reject_non_finite_tokens(tmp_path, capsys, command, token
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert f"{token} is not a valid value" in captured.err
+
+
+def _spell_first_weight(text, spelling):
+    """Replace the first binary32 weight's JSON text by ``spelling``."""
+    head, sep, rest = text.partition('"weights_f32": [')
+    first, comma, tail = rest.partition(",")
+    return head + sep + first.replace(first.strip(), spelling) + comma + tail
+
+
+@pytest.mark.parametrize("spelling", ["1e999", "4e38"])
+@pytest.mark.parametrize("command", ["inspect", "metrics", "quantize"])
+def test_read_commands_reject_weights_beyond_binary32(tmp_path, capsys, command, spelling):
+    path = tmp_path / "full.json"
+    _full_model(tmp_path, np.full((2, 8), 0.5))
+    path.write_text(_spell_first_weight(path.read_text(), spelling))
+    argv = {"inspect": [],
+            "metrics": ["--data", _write_json(tmp_path / "source.json", DATASET_SOURCE)],
+            "quantize": ["--out", str(tmp_path / "half.json")]}[command]
+    assert run([command, "--model", str(path), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "finite binary32" in captured.err
 
 
 # each read command parses its model file once

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from evosynth import rng
 from evosynth.rng import GOLDEN_GAMMA, SplitMix64, mix64, permutation, substream, uniform_block
 
 # Published splitmix64 output stream for seed 0 (first three values).
@@ -98,3 +99,60 @@ def test_permutation_unbiased_first_slot():
     # 5-sigma binomial band
     sigma = np.sqrt(trials * (1 / n) * (1 - 1 / n))
     assert np.all(np.abs(counts - expected) < 5 * sigma)
+
+
+def _reference_permutation(n, seed):
+    """The scalar Fisher-Yates loop: one ``next_below`` call per position."""
+    order = np.arange(n, dtype=np.int64)
+    gen = SplitMix64(seed)
+    for i in range(n - 1, 0, -1):
+        j = gen.next_below(i + 1)
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
+def _assert_matches_reference(n, seed):
+    got, want = permutation(n, seed), _reference_permutation(n, seed)
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want), (n, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_permutation_matches_scalar_loop_small_n(seed):
+    for n in range(513):
+        _assert_matches_reference(n, seed)
+
+
+@pytest.mark.parametrize("n", [800, 1000, 60000])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_permutation_matches_scalar_loop_large_n(n, seed):
+    _assert_matches_reference(n, seed)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 2**16, 2**16 + 1, 2**31, 2**31 + 1,
+                                   2**63, 2**63 + 1, 60000])
+def test_rejection_predicate_matches_next_below_rule(bound):
+    limit = 2**64 - 2**64 % bound
+    # limit is 2**64, outside the draw range, when bound divides 2**64
+    draws = sorted(d for d in {limit - 1, limit, 2**64 - 1} if d < 2**64)
+    u = np.array(draws, dtype=np.uint64)
+    got = rng._rejected(u, np.full(len(draws), bound, dtype=np.uint64)).tolist()
+    assert got == [not d < limit for d in draws]
+
+
+def test_permutation_fallback_matches_scalar_loop(monkeypatch):
+    monkeypatch.setattr(rng, "_rejected", lambda u, bounds: np.ones(len(u), dtype=bool))
+    calls = []
+    real = SplitMix64.next_below
+    monkeypatch.setattr(SplitMix64, "next_below", lambda self, b: calls.append(b) or real(self, b))
+    _assert_matches_reference(800, 3)
+    assert len(calls) == 2 * 799  # the fallback and the reference each draw per position
+
+
+def test_permutation_common_path_makes_no_scalar_draws(monkeypatch):
+    calls = []
+    real = SplitMix64.next_below
+    monkeypatch.setattr(SplitMix64, "next_below", lambda self, b: calls.append(b) or real(self, b))
+    for seed in range(5):
+        permutation(800, seed)
+    assert calls == []

@@ -4,6 +4,13 @@ Model files are JSON. The binary16 variant stores every weight and bias
 as the integer value of its half-precision bit pattern, so round-trips
 are bit-exact. The binary32 variant stores decimals with 9 significant
 digits, which is enough to reproduce any binary32 value exactly.
+
+`save_model` writes exactly the bytes of `json.dump(doc, fh, indent=1)`
+followed by a newline, built by joining strings (Python's indented
+encoder runs in pure Python and is several times slower). A non-finite
+binary32 weight or bias, or a non-finite `alpha_history` entry, has no
+JSON spelling: `save_model` raises `NumericFailure` for it before the
+file is opened, and the loaders reject it with `IntegrityError`.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from .errors import (
     InvalidParam,
     IoError,
     NonFiniteFeature,
+    NumericFailure,
     ParseError,
     TruncatedFile,
 )
@@ -192,13 +200,31 @@ def synth_gaussians(n_per_class: int, n_features: int, separation: float, seed: 
 # model files
 
 
-def _int_list(a: np.ndarray) -> list[int]:
-    return [int(v) for v in a.reshape(-1)]
-
-
 def _f32_decimal_list(a: np.ndarray) -> list[float]:
     # 9 significant digits reproduce any binary32 value exactly
     return [float(f"{float(v):.9g}") for v in a.reshape(-1)]
+
+
+def _indent1_json(value, indent: str = "") -> str:
+    """`json.dumps(value, indent=1)` for a model document, built by joining strings.
+
+    Handles what `save_model` puts in a document: dicts with string keys,
+    lists, strings and finite numbers.
+    """
+    if not (isinstance(value, (dict, list)) and value):
+        return json.dumps(value)
+    inner = indent + " "
+    pad = f",\n{inner}"
+    if isinstance(value, dict):
+        body = pad.join(f"{json.dumps(k)}: {_indent1_json(v, inner)}" for k, v in value.items())
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if set(map(type, value)) <= {int, float}:
+        # a list's repr joins its items' reprs (json's spelling of plain ints
+        # and floats) with ", ", which no such repr contains
+        body = repr(value)[1:-1].replace(", ", pad)
+    else:
+        body = pad.join(_indent1_json(v, inner) for v in value)
+    return f"[\n{inner}{body}\n{indent}]"
 
 
 def save_model(net: Network, path: str, seed: int = 0,
@@ -207,33 +233,40 @@ def save_model(net: Network, path: str, seed: int = 0,
 
     Half-precision networks store raw binary16 bit patterns; full ones
     store 9-significant-digit decimals. `seed` and `alpha_history` are
-    lineage bookkeeping carried verbatim.
+    lineage bookkeeping carried verbatim. Raises `NumericFailure` for a
+    non-finite binary32 parameter or `alpha_history` entry.
     """
+    half = net.precision_tag == HALF
+    alphas = [float(a) for a in (alpha_history or [])]
+    if not all(map(math.isfinite, alphas)):
+        raise NumericFailure(f"cannot write {path}: alpha_history holds a non-finite value")
     doc = {
         "format_version": FORMAT_VERSION,
         "generation": net.generation,
-        "precision": "binary16" if net.precision_tag == HALF else "binary32",
+        "precision": "binary16" if half else "binary32",
         "activation": [l.activation for l in net.layers],
         "layers": [],
         "seed": int(seed),
-        "alpha_history": [float(a) for a in (alpha_history or [])],
+        "alpha_history": alphas,
     }
     policy = PrecisionPolicy()
-    for layer in net.layers:
+    for i, layer in enumerate(net.layers):
         out_dim, in_dim = layer.weights.shape
-        entry = {"in_dim": in_dim, "out_dim": out_dim,
-                 "mask": _int_list(layer.mask)}
-        if net.precision_tag == HALF:
-            entry["weights_f16"] = _int_list(encode_array(layer.weights, policy))
-            entry["bias_f16"] = _int_list(encode_array(layer.bias, policy))
+        entry = {"in_dim": in_dim, "out_dim": out_dim, "mask": layer.mask.ravel().tolist()}
+        if half:
+            entry["weights_f16"] = encode_array(layer.weights, policy).ravel().tolist()
+            entry["bias_f16"] = encode_array(layer.bias, policy).ravel().tolist()
         else:
+            for name, values in (("weight", layer.weights), ("bias", layer.bias)):
+                if not np.all(np.isfinite(values)):
+                    raise NumericFailure(f"cannot write {path}: layer {i} has a non-finite {name}")
             entry["weights_f32"] = _f32_decimal_list(layer.weights)
             entry["bias_f32"] = _f32_decimal_list(layer.bias)
         doc["layers"].append(entry)
+    text = _indent1_json(doc) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+            fh.write(text)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -268,22 +301,47 @@ def _load_doc(path: str) -> dict:
     return doc
 
 
+# json.load yields exact ints and floats, so comparing type() sets stands
+# in for per-entry isinstance checks and also rejects bool
+
+
+def _finite_floats(values) -> list[float] | None:
+    """`values` as floats if it is a list of finite numbers, else None."""
+    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        floats = [float(v) for v in values]
+    except OverflowError:  # an integer beyond float64
+        return None
+    return floats if all(map(math.isfinite, floats)) else None
+
+
 def _read_meta(doc: dict, path: str) -> ModelMeta:
     precision = doc.get("precision")
     if precision not in ("binary16", "binary32"):
         raise IntegrityError(f"{path}: precision must be binary16 or binary32, got {precision!r}")
     generation = _require(doc, "generation", int, path)
     seed = _require(doc, "seed", int, path)
-    alpha_history = doc.get("alpha_history", [])
-    if not isinstance(alpha_history, list) or any(
-            isinstance(a, bool) or not isinstance(a, (int, float)) for a in alpha_history):
-        raise IntegrityError(f"{path}: field 'alpha_history' must be a list of numbers")
+    alpha_history = _finite_floats(doc.get("alpha_history", []))
+    if alpha_history is None:
+        raise IntegrityError(f"{path}: field 'alpha_history' must be a list of finite numbers")
     return ModelMeta(generation=generation, precision=precision, seed=seed,
-                     alpha_history=[float(a) for a in alpha_history])
+                     alpha_history=alpha_history)
 
 
 def load_model_meta(path: str) -> ModelMeta:
     return _read_meta(_load_doc(path), path)
+
+
+def _uint_array(values: list, top: int) -> np.ndarray | None:
+    """`values` as an int64 array if every entry is an int in [0, top], else None."""
+    if not set(map(type, values)) <= {int}:
+        return None
+    try:
+        a = np.asarray(values, dtype=np.int64)
+    except OverflowError:  # an integer beyond int64
+        return None
+    return a if np.all((a >= 0) & (a <= top)) else None
 
 
 def _layer_values(entry: dict, key: str, n: int, where: str, as_bits: bool) -> np.ndarray:
@@ -291,16 +349,19 @@ def _layer_values(entry: dict, key: str, n: int, where: str, as_bits: bool) -> n
     if len(values) != n:
         raise IntegrityError(f"{where}: {key} has {len(values)} values, expected {n}")
     if as_bits:
-        for v in values:
-            if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v <= 0xFFFF:
-                raise IntegrityError(f"{where}: {key} entries must be integers in [0, 65535]")
-        return np.asarray(values, dtype=np.uint16)
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise IntegrityError(f"{where}: {key} entries must be numbers")
-    with np.errstate(over="ignore"):
-        out = np.asarray(values, dtype=np.float64).astype(np.float32)
-    if not np.all(np.isfinite(out)):
+        codes = _uint_array(values, 0xFFFF)
+        if codes is None:
+            raise IntegrityError(f"{where}: {key} entries must be integers in [0, 65535]")
+        return codes.astype(np.uint16)
+    if not set(map(type, values)) <= {int, float}:
+        raise IntegrityError(f"{where}: {key} entries must be numbers")
+    try:
+        with np.errstate(over="ignore"):
+            out = np.asarray(values, dtype=np.float64).astype(np.float32)
+        finite = np.all(np.isfinite(out))
+    except OverflowError:  # an integer literal beyond float64
+        finite = False
+    if not finite:
         raise IntegrityError(f"{where}: {key} entries must be finite binary32 values")
     return out
 
@@ -341,10 +402,10 @@ def load_model_and_meta(path: str) -> tuple[Network, ModelMeta]:
         mask_values = _require(entry, "mask", list, where)
         if len(mask_values) != n:
             raise IntegrityError(f"{where}: mask has {len(mask_values)} values, expected {n}")
-        for v in mask_values:
-            if isinstance(v, bool) or v not in (0, 1):
-                raise IntegrityError(f"{where}: mask entries must be 0 or 1")
-        mask = np.asarray(mask_values, dtype=np.uint8).reshape(out_dim, in_dim)
+        mask = _uint_array(mask_values, 1)
+        if mask is None:
+            raise IntegrityError(f"{where}: mask entries must be 0 or 1")
+        mask = mask.astype(np.uint8).reshape(out_dim, in_dim)
         if half:
             codes = _layer_values(entry, "weights_f16", n, where, as_bits=True).reshape(out_dim, in_dim)
             if np.any(codes[mask == 0] != 0):

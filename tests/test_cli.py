@@ -552,6 +552,21 @@ def test_read_commands_reject_weights_beyond_binary32(tmp_path, capsys, command,
     assert "finite binary32" in captured.err
 
 
+@pytest.mark.parametrize("command", ["inspect", "quantize"])
+def test_read_commands_reject_alpha_history_beyond_float(tmp_path, capsys, command):
+    # 1e999 parses as inf; quantize would otherwise hit the writer's non-finite rule (exit 3)
+    path = tmp_path / "full.json"
+    _full_model(tmp_path, np.full((2, 8), 0.5), alpha_history=(1.0, 0.25))
+    path.write_text(path.read_text().replace("0.25", "1e999"))
+    argv = {"inspect": [], "quantize": ["--out", str(tmp_path / "half.json")]}[command]
+    assert run([command, "--model", str(path), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "alpha_history" in captured.err
+    assert not (tmp_path / "half.json").exists()
+
+
 # each read command parses its model file once
 
 

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from evosynth import dataio
 from evosynth.dataio import (
     LINEAGE_HEADER,
     load_csv_dataset,
@@ -26,12 +27,13 @@ from evosynth.errors import (
     InvalidParam,
     IoError,
     NonFiniteFeature,
+    NumericFailure,
     ParseError,
     TruncatedFile,
 )
 from evosynth.evolution import EvolutionConfig, GenerationRecord, Lineage
-from evosynth.halfprec import PrecisionPolicy, quantize_network
-from evosynth.netcore import LayerSpec, init_network
+from evosynth.halfprec import PrecisionPolicy, encode_array, quantize_network
+from evosynth.netcore import ACTIVATIONS, LayerSpec, init_network
 
 
 # CSV datasets
@@ -310,6 +312,114 @@ def test_save_load_binary16_bit_exact(tmp_path):
     assert (tmp_path / "m.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
 
 
+def _reference_save_model(net, path, seed=0, alpha_history=None):
+    """`save_model` as written with `json.dump(indent=1)`: the byte oracle."""
+    doc = {
+        "format_version": 1,
+        "generation": net.generation,
+        "precision": "binary16" if net.precision_tag == "half" else "binary32",
+        "activation": [l.activation for l in net.layers],
+        "layers": [],
+        "seed": int(seed),
+        "alpha_history": [float(a) for a in (alpha_history or [])],
+    }
+    policy = PrecisionPolicy()
+    for layer in net.layers:
+        out_dim, in_dim = layer.weights.shape
+        entry = {"in_dim": in_dim, "out_dim": out_dim,
+                 "mask": [int(v) for v in layer.mask.reshape(-1)]}
+        if net.precision_tag == "half":
+            entry["weights_f16"] = [int(v) for v in encode_array(layer.weights, policy).reshape(-1)]
+            entry["bias_f16"] = [int(v) for v in encode_array(layer.bias, policy).reshape(-1)]
+        else:
+            entry["weights_f32"] = [float(f"{float(v):.9g}") for v in layer.weights.reshape(-1)]
+            entry["bias_f32"] = [float(f"{float(v):.9g}") for v in layer.bias.reshape(-1)]
+        doc["layers"].append(entry)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
+_F32_MAX = np.finfo(np.float32).max
+# negative zero, binary32 subnormals, the smallest normal, the largest
+# finite value and values that saturate or underflow in binary16
+EDGE_VALUES = np.array([-0.0, 1e-45, -1e-45, 1e-40, 2.0**-126, _F32_MAX, -_F32_MAX,
+                        65504.0, -70000.0, 6e-8, 0.1], dtype=np.float32)
+EDGE_ALPHAS = [0.84, 1 / 3, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -0.0, 1e-7]
+
+
+def _random_net(rng, widths, density):
+    spec = [LayerSpec(a, b, str(rng.choice(ACTIVATIONS))) for a, b in zip(widths, widths[1:])]
+    net = init_network(spec, seed=int(rng.integers(2**63)))
+    for layer in net.layers:
+        layer.mask[...] = rng.random(layer.mask.shape) < density
+        for values in (layer.weights, layer.bias):
+            values[...] = rng.standard_normal(values.shape) * 10.0 ** rng.integers(-6, 6, values.shape)
+            flat = values.reshape(-1)
+            spots = rng.choice(flat.size, min(flat.size, len(EDGE_VALUES)), replace=False)
+            flat[spots] = rng.permutation(EDGE_VALUES)[:len(spots)]
+        layer.weights[layer.mask == 0] = 0.0
+    return net
+
+
+WRITER_SHAPES = {
+    "1-layer": ((5, 3), 0.6),
+    "4-layer": ((7, 6, 5, 4, 2), 0.5),
+    "1x1": ((1, 1), 1.0),
+    "fully-masked": ((6, 4, 2), 0.0),
+    "wider": ((40, 24, 3), 0.3),
+}
+
+
+@pytest.mark.parametrize("precision", ["binary32", "binary16"])
+@pytest.mark.parametrize("shape", list(WRITER_SHAPES))
+def test_save_model_bytes_equal_json_dump_indent_1(tmp_path, shape, precision):
+    widths, density = WRITER_SHAPES[shape]
+    rng = np.random.default_rng([len(widths), int(density * 10), precision == "binary16"])
+    cases = [  # (generation, seed, alpha_history)
+        (0, 0, []),
+        (2**64 - 1, 2**64 - 1, [1, 0, 1]),  # integer-valued history is written as floats
+        (int(rng.integers(1, 14)), int(rng.integers(2**63)), EDGE_ALPHAS),
+    ]
+    for k, (generation, seed, alphas) in enumerate(cases):
+        net = _random_net(rng, widths, density)
+        if precision == "binary16":
+            net = quantize_network(net, PrecisionPolicy())
+        net.generation = generation
+        ours, ref = tmp_path / f"ours_{k}.json", tmp_path / f"ref_{k}.json"
+        save_model(net, str(ours), seed=seed, alpha_history=alphas)
+        _reference_save_model(net, str(ref), seed=seed, alpha_history=alphas)
+        assert ours.read_bytes() == ref.read_bytes()
+        back = load_model(str(ours))
+        for a, b in zip(net.layers, back.layers):
+            assert a.weights.tobytes() == b.weights.tobytes()
+            assert a.bias.tobytes() == b.bias.tobytes()
+
+
+@pytest.mark.parametrize("layer, name, value", [
+    (1, "weight", np.inf), (0, "weight", np.nan), (1, "bias", -np.inf), (0, "bias", np.nan),
+])
+def test_save_model_rejects_non_finite_binary32(tmp_path, layer, name, value):
+    net = _small_net(masked=False)
+    getattr(net.layers[layer], "weights" if name == "weight" else "bias").flat[-1] = value
+    p = tmp_path / "m.json"
+    p.write_text("kept")
+    with pytest.raises(NumericFailure, match=f"layer {layer} has a non-finite {name}") as info:
+        save_model(net, str(p))
+    assert info.value.exit_code == 3
+    assert p.read_text() == "kept"  # raised before the file was opened
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("half", [False, True], ids=["binary32", "binary16"])
+def test_save_model_rejects_non_finite_alpha_history(tmp_path, value, half):
+    net = quantize_network(_small_net(), PrecisionPolicy()) if half else _small_net()
+    p = tmp_path / "m.json"
+    with pytest.raises(NumericFailure, match="alpha_history"):
+        save_model(net, str(p), alpha_history=[1.0, value])
+    assert not p.exists()
+
+
 def test_half_file_stores_bit_patterns(tmp_path):
     net = _small_net(masked=False)
     net.layers[0].weights[:] = 0.0
@@ -385,6 +495,13 @@ def test_model_bad_mask_value(tmp_path):
         load_model(_doc(tmp_path, mutate))
 
 
+@pytest.mark.parametrize("value", [1.0, 0.0, True, -1, 2**70], ids=["1.0", "0.0", "true", "-1", "2^70"])
+def test_model_mask_entries_must_be_integers(tmp_path, value):
+    p = _doc(tmp_path, _put("layers", 1, "mask", 0, value))
+    with pytest.raises(IntegrityError, match="layer 1: mask entries must be 0 or 1"):
+        load_model(p)
+
+
 def test_model_mask_length_mismatch(tmp_path):
     def mutate(d):
         d["layers"][0]["mask"].append(1)
@@ -430,6 +547,84 @@ def test_model_half_code_out_of_range(tmp_path):
     p.write_text(json.dumps(doc))
     with pytest.raises(IntegrityError, match="65535"):
         load_model(str(p))
+
+
+@pytest.mark.parametrize("value", [-1, 2**70, 1.0, True], ids=["-1", "2^70", "1.0", "true"])
+def test_model_half_code_must_be_an_integer_in_range(tmp_path, value):
+    net = quantize_network(_small_net(), PrecisionPolicy())
+    p = tmp_path / "m.json"
+    save_model(net, str(p))
+    doc = json.loads(p.read_text())
+    doc["layers"][1]["bias_f16"][0] = value
+    p.write_text(json.dumps(doc))
+    with pytest.raises(IntegrityError, match="layer 1: bias_f16 entries must be integers in"):
+        load_model(str(p))
+
+
+def _spelled(tmp_path, key, spelling):
+    """A saved model whose first `key` number is spelled ``spelling`` in the file."""
+    net = _small_net()
+    p = tmp_path / "m.json"
+    save_model(net, str(p), alpha_history=[0.5, 0.25])
+    text = p.read_text()
+    head, sep, rest = text.partition(f'"{key}": [\n')
+    first, comma, tail = rest.partition(",")
+    p.write_text(head + sep + first.replace(first.strip(), spelling) + comma + tail)
+    return str(p)
+
+
+@pytest.mark.parametrize("spelling", ["1" + "0" * 400, "1e999"], ids=["10^400", "1e999"])
+def test_model_weight_beyond_float64_rejected(tmp_path, spelling):
+    with pytest.raises(IntegrityError, match="finite binary32"):
+        load_model(_spelled(tmp_path, "weights_f32", spelling))
+
+
+@pytest.mark.parametrize("spelling", ["1" + "0" * 400, "1e999", "-1e999"], ids=["10^400", "1e999", "-1e999"])
+def test_model_alpha_history_must_be_finite(tmp_path, spelling):
+    p = _spelled(tmp_path, "alpha_history", spelling)
+    for load in (load_model, load_model_meta):
+        with pytest.raises(IntegrityError, match="alpha_history' must be a list of finite numbers"):
+            load(p)
+
+
+def _loop_uint_check(values, top):
+    """The per-entry loop the vectorised integer check replaced."""
+    return not any(isinstance(v, bool) or not isinstance(v, int) or not 0 <= v <= top
+                   for v in values)
+
+
+def _loop_f32_values(values):
+    """The per-entry loop and cast `_layer_values` used for binary32 entries."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            return "entries must be numbers"
+    with np.errstate(over="ignore"):
+        out = np.asarray(values, dtype=np.float64).astype(np.float32)
+    return out if np.all(np.isfinite(out)) else "entries must be finite binary32 values"
+
+
+LOADER_POOL = [0, 1, 2, 7, 65535, 65536, -1, 2**63, 2**70, -2**70, 0.5, 1.0, 0.0, -0.0,
+               float("inf"), 4e38, 3e38, True, False, None, "1", [1], {"a": 1}]
+
+
+def test_vectorised_loader_checks_match_the_loops():
+    rng = np.random.default_rng(6)
+    for _ in range(3000):
+        n = int(rng.integers(1, 6))
+        common = rng.random() < 0.7  # mostly plausible entries, so both outcomes occur
+        values = [LOADER_POOL[int(i)] for i in rng.integers(0, 5 if common else len(LOADER_POOL), n)]
+        for top in (1, 0xFFFF):
+            got = dataio._uint_array(values, top)
+            assert (got is not None) == _loop_uint_check(values, top), (values, top)
+            if got is not None:
+                assert got.tolist() == values
+        want = _loop_f32_values(values)
+        try:
+            got = dataio._layer_values({"w": values}, "w", n, "m", as_bits=False)
+        except IntegrityError as exc:
+            assert isinstance(want, str) and str(exc) == f"m: w {want}", (values, exc)
+        else:
+            assert not isinstance(want, str) and got.tobytes() == want.tobytes(), values
 
 
 def test_model_dimension_chain_checked(tmp_path):

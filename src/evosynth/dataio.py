@@ -341,7 +341,8 @@ def _uint_array(values: list, top: int) -> np.ndarray | None:
         a = np.asarray(values, dtype=np.int64)
     except OverflowError:  # an integer beyond int64
         return None
-    return a if np.all((a >= 0) & (a <= top)) else None
+    # two reductions cost less than two comparisons and an np.all
+    return a if a.size == 0 or (a.min() >= 0 and a.max() <= top) else None
 
 
 def _layer_values(entry: dict, key: str, n: int, where: str, as_bits: bool) -> np.ndarray:
@@ -352,6 +353,10 @@ def _layer_values(entry: dict, key: str, n: int, where: str, as_bits: bool) -> n
         codes = _uint_array(values, 0xFFFF)
         if codes is None:
             raise IntegrityError(f"{where}: {key} entries must be integers in [0, 65535]")
+        # an all-ones exponent with a non-zero fraction; the infinities
+        # 0x7C00 and 0xFC00 stay legal, as quantize --overflow inf writes them
+        if (codes & 0x7FFF).max() > 0x7C00:
+            raise IntegrityError(f"{where}: {key} holds a binary16 NaN code")
         return codes.astype(np.uint16)
     if not set(map(type, values)) <= {int, float}:
         raise IntegrityError(f"{where}: {key} entries must be numbers")

@@ -34,7 +34,6 @@ from .netcore import (
     init_network,
     mean_loss,
     train,
-    validation_split,
 )
 from .rng import substream
 
@@ -110,11 +109,9 @@ def _spec_of(net: Network) -> list[LayerSpec]:
 def _train_quantize_record(child: Network, dataset: Dataset, cfg: EvolutionConfig,
                            g: int, alpha_used: float, seed_g: int):
     train_cfg = replace(cfg.train, seed=substream(seed_g, 1))
-    trained, _ = train(child, dataset, train_cfg)
+    trained, log = train(child, dataset, train_cfg)
     quantized = quantize_network(trained, cfg.precision)
-    train_idx, val_idx = validation_split(
-        len(dataset), train_cfg.validation_fraction, train_cfg.seed
-    )
+    train_idx, val_idx = log.train_indices, log.val_indices
     metrics = evaluate_classifier(quantized, dataset.features[val_idx], dataset.labels[val_idx])
     record = GenerationRecord(
         generation=g,

@@ -9,6 +9,14 @@ Parameters are stored as binary32. Forward passes, losses and gradients
 are computed in binary64 over those stored values, which keeps analytic
 gradients within finite-difference checking tolerance; updates are written
 back to binary32 at the end of training.
+
+Training runs on the backward-live sub-network: a hidden neuron with no
+path to an output gets exactly +-0 gradients in the dense computation, so
+its parameters never move, and ``train`` leaves it out of every batch.
+The one bit such a neuron loses to SGD is a negative zero: the dense step
+adds a +0.0 velocity, and -0.0 + +0.0 is +0.0. So when the best epoch is
+not the starting state, dead parameters come back as ``x + 0.0``.
+Inference keeps the dense path.
 """
 
 from __future__ import annotations
@@ -125,6 +133,9 @@ class TrainingLog:
     val_losses: list[float] = field(default_factory=list)
     best_epoch: int = 0  # 0 means the pre-training state
     stopped_early: bool = False
+    # the dataset rows train fitted and validated on (``validation_split``)
+    train_indices: np.ndarray | None = None
+    val_indices: np.ndarray | None = None
 
 
 @dataclass
@@ -252,10 +263,7 @@ def forward(net: Network, input: Sequence[float]) -> np.ndarray:
     x = np.asarray(input, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != net.in_dim:
         raise ShapeMismatch(f"input must have length {net.in_dim}, got shape {x.shape}")
-    ws, bs, acts = _working_params(net)
-    _, logits = _forward_core(ws, bs, acts, x[None, :])
-    probs = np.exp(_log_softmax(logits))[0]
-    return probs.astype(np.float32)
+    return forward_batch(net, x[None])[0]
 
 
 def forward_batch(net: Network, inputs: np.ndarray) -> np.ndarray:
@@ -310,6 +318,19 @@ def gradients(net: Network, batch_inputs: np.ndarray, batch_labels: np.ndarray) 
     return Gradients(weights=w_grads, biases=b_grads, loss=loss)
 
 
+def _live_rows(masks: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Per layer, which output neurons have a path to a network output.
+
+    Backward liveness only: every output of the last layer is live, and a
+    neuron is live when a synapse joins it to a live neuron of the next
+    layer. A neuron without inputs still emits act(bias), so it stays.
+    """
+    live = [np.ones(masks[-1].shape[0], dtype=bool)]
+    for mask in reversed(masks[1:]):
+        live.insert(0, mask[live[0]].any(axis=0))
+    return live
+
+
 def validation_split(n_samples: int, fraction: float, seed: int):
     """Deterministic (train_indices, val_indices) split used by ``train``.
 
@@ -328,7 +349,18 @@ def train(net: Network, dataset: "Dataset", cfg: TrainConfig) -> tuple[Network, 
     epochs and returns the parameters of the best validation epoch (the
     pre-training state counts as epoch 0). Fully deterministic given
     ``cfg.seed``: the validation split comes from substream 0 and epoch
-    ``e``'s shuffle from substream ``e``.
+    ``e``'s shuffle from substream ``e``; the log carries the split.
+
+    SGD runs on the backward-live sub-network (``_live_rows``): the live
+    rows and columns of each weight matrix, with every input column and
+    every output row kept. Dead neurons get exactly +-0 gradients in the
+    dense computation, so dead parameters come back as the dense loop
+    leaves them: unchanged, or as ``x + 0.0`` (which turns -0.0 into
+    +0.0, as the dense SGD step does) when ``best_epoch > 0``. Live
+    values see the same operations minus zero terms, which BLAS may sum
+    in another order: the float64 loss curves can differ from the dense
+    ones by a few ulps, and tests/test_netcore.py checks the binary32
+    result against the dense loop bit for bit.
     """
     x = np.asarray(dataset.features, dtype=np.float64)
     y = np.asarray(dataset.labels, dtype=np.int64)
@@ -346,8 +378,13 @@ def train(net: Network, dataset: "Dataset", cfg: TrainConfig) -> tuple[Network, 
         )
     x_val, y_val = x[val_idx], y[val_idx]
 
-    ws, bs, acts = _working_params(net)
-    masks = [l.mask.astype(np.float64) for l in net.layers]
+    live = _live_rows([l.mask for l in net.layers])
+    blocks = [np.ix_(rows, cols) for rows, cols in
+              zip(live, [np.ones(net.in_dim, dtype=bool)] + live[:-1])]
+    ws = [_masked(l.weights[b], l.mask[b]).astype(np.float64) for l, b in zip(net.layers, blocks)]
+    bs = [l.bias[rows].astype(np.float64) for l, rows in zip(net.layers, live)]
+    acts = [l.activation for l in net.layers]
+    masks = [l.mask[b].astype(np.float64) for l, b in zip(net.layers, blocks)]
     vel_w = [np.zeros_like(w) for w in ws]
     vel_b = [np.zeros_like(b) for b in bs]
 
@@ -355,7 +392,7 @@ def train(net: Network, dataset: "Dataset", cfg: TrainConfig) -> tuple[Network, 
         _, logits = _forward_core(cur_ws, cur_bs, acts, x_val)
         return _nll(_log_softmax(logits), y_val)
 
-    log = TrainingLog()
+    log = TrainingLog(train_indices=train_idx, val_indices=val_idx)
     best_val = val_loss_of(ws, bs)
     best_ws = [w.copy() for w in ws]
     best_bs = [b.copy() for b in bs]
@@ -399,15 +436,17 @@ def train(net: Network, dataset: "Dataset", cfg: TrainConfig) -> tuple[Network, 
                 log.stopped_early = True
                 break
 
-    layers = [
-        DenseLayer(
-            weights=_masked(best_ws[i], masks[i]).astype(np.float32),
-            mask=net.layers[i].mask.copy(),
-            bias=best_bs[i].astype(np.float32),
-            activation=net.layers[i].activation,
-        )
-        for i in range(len(net.layers))
-    ]
+    layers = []
+    for i, layer in enumerate(net.layers):
+        weights = _masked(layer.weights, layer.mask)
+        bias = layer.bias.copy()
+        if log.best_epoch > 0:  # the dense step's +0.0 velocity: -0.0 -> +0.0
+            weights += np.float32(0.0)
+            bias += np.float32(0.0)
+        weights[blocks[i]] = _masked(best_ws[i], masks[i]).astype(np.float32)
+        bias[live[i]] = best_bs[i].astype(np.float32)
+        layers.append(DenseLayer(weights=weights, mask=layer.mask.copy(), bias=bias,
+                                 activation=layer.activation))
     return Network(layers=layers, generation=net.generation, precision_tag=FULL), log
 
 

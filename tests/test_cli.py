@@ -112,6 +112,25 @@ def test_evolve_output_bytes_are_pinned(tmp_path, capsys):
     assert _dir_digest(out) == ACCEPTANCE_SEED_1_DIGEST
 
 
+# the same digest for the benchmark's lineage-wide shape, 256-128-64-2 on
+# synth_gaussians(500, 256, 3.0, seed 0), master seed 1 (bench/digests.json)
+LINEAGE_WIDE_SEED_1_DIGEST = "e1e6f457550f1230a1eec8b59ae8f3ac10cf14f6cc774b2ed5ff9956fc6d1332"
+
+
+def test_evolve_wide_output_bytes_are_pinned(tmp_path, capsys):
+    widths = (256, 128, 64, 2)
+    doc = {"layers": [{"in_dim": a, "out_dim": b, "activation": "relu"}
+                      for a, b in zip(widths, widths[1:])],
+           "dataset": {"type": "synthetic", "n_per_class": 500, "n_features": 256,
+                       "separation": 3.0, "seed": 0},
+           "evolution": {"generations": 13}}
+    cfg = _write_json(tmp_path / "run.json", doc)
+    out = tmp_path / "out"
+    assert run(["evolve", "--config", cfg, "--seed", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert _dir_digest(out) == LINEAGE_WIDE_SEED_1_DIGEST
+
+
 def test_evolve_seed_flag_overrides(run_dir, tmp_path, capsys):
     cfg = _write_json(tmp_path / "run.json", _config_doc(out_dir=str(tmp_path / "out")))
     assert run(["evolve", "--config", cfg, "--seed", "3"]) == 0
@@ -527,6 +546,46 @@ def test_read_commands_reject_non_finite_tokens(tmp_path, capsys, command, token
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert f"{token} is not a valid value" in captured.err
+
+
+def _set_half_code(path, key, code):
+    """Set the first unmasked weight code, or the first bias code, of layer 0."""
+    doc = json.loads(path.read_text())
+    layer = doc["layers"][0]
+    index = layer["mask"].index(1) if key == "weights_f16" else 0
+    layer[key][index] = code
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key, code", [("weights_f16", 0x7E00), ("weights_f16", 0xFE00),
+                                       ("bias_f16", 0x7C01)],
+                         ids=["weight-0x7E00", "weight-0xFE00", "bias-0x7C01"])
+@pytest.mark.parametrize("command", ["inspect", "metrics"])
+def test_read_commands_reject_half_nan_codes(run_dir, tmp_path, capsys, command, key, code):
+    path = tmp_path / "half.json"
+    path.write_bytes((run_dir / "gen_2.json").read_bytes())
+    _set_half_code(path, key, code)
+    argv = {"inspect": [],
+            "metrics": ["--data", _write_json(tmp_path / "source.json", DATASET_SOURCE)]}[command]
+    assert run([command, "--model", str(path), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"{key} holds a binary16 NaN code" in captured.err
+
+
+@pytest.mark.parametrize("command, key, code", [("inspect", "weights_f16", 0x7C00),
+                                                ("metrics", "bias_f16", 0xFC00)])
+def test_read_commands_accept_half_infinity_codes(run_dir, tmp_path, capsys, command, key, code):
+    # quantize --overflow inf writes these on purpose; a -inf bias keeps
+    # metrics free of inf - inf
+    path = tmp_path / "half.json"
+    path.write_bytes((run_dir / "gen_2.json").read_bytes())
+    _set_half_code(path, key, code)
+    argv = {"inspect": [],
+            "metrics": ["--data", _write_json(tmp_path / "source.json", DATASET_SOURCE)]}[command]
+    assert run([command, "--model", str(path), *argv]) == 0
+    capsys.readouterr()
 
 
 def _spell_first_weight(text, spelling):

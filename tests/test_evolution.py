@@ -10,6 +10,7 @@ from evosynth.dataio import (
     save_model,
     synth_gaussians,
 )
+from evosynth import netcore
 from evosynth.errors import DeadLayer
 from evosynth.evolution import (
     COMPLETED,
@@ -261,3 +262,18 @@ def test_evolve_without_out_dir_writes_nothing(dataset, tmp_path, monkeypatch):
     lin = evolve(SPEC, dataset, _cfg(generations=2))
     assert len(lin.records) == 2
     assert list(tmp_path.iterdir()) == []
+
+
+def test_evolve_draws_each_validation_split_once(dataset, monkeypatch):
+    # the record's metrics and train_loss use the split train returns
+    calls = []
+    real_split = netcore.validation_split
+
+    def counting_split(*args):
+        calls.append(args)
+        return real_split(*args)
+
+    monkeypatch.setattr(netcore, "validation_split", counting_split)
+    lin = evolve(SPEC, dataset, _cfg(generations=3))
+    assert len(lin.records) == 3
+    assert len(calls) == 3

@@ -1,10 +1,12 @@
 """Network construction, forward/backward math and the training loop."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
+from evosynth import evolution
 from evosynth.dataio import synth_gaussians
 from evosynth.errors import (
     DatasetTooSmall,
@@ -18,6 +20,14 @@ from evosynth.netcore import (
     LayerSpec,
     Network,
     TrainConfig,
+    TrainingLog,
+    _backprop,
+    _forward_core,
+    _live_rows,
+    _log_softmax,
+    _masked,
+    _nll,
+    _working_params,
     count_active_synapses,
     evaluate_classifier,
     forward,
@@ -29,6 +39,7 @@ from evosynth.netcore import (
     train,
     validation_split,
 )
+from evosynth.rng import permutation, substream
 
 
 def _small_net(seed=0, activation="relu"):
@@ -241,6 +252,201 @@ def test_train_binary32_oracle():
         digest.update(np.asarray(log.train_losses, dtype=np.float64).tobytes())
         digest.update(np.asarray(log.val_losses, dtype=np.float64).tobytes())
     assert digest.hexdigest() == TRAIN_ORACLE_SHA256
+
+
+# the sparse train oracle: train runs on the backward-live sub-network, and
+# must give the binary32 parameters of the dense loop below bit for bit
+
+
+def _dense_train(net, dataset, cfg):
+    """The dense training loop train used before it dropped dead neurons."""
+    x = np.asarray(dataset.features, dtype=np.float64)
+    y = np.asarray(dataset.labels, dtype=np.int64)
+    train_idx, val_idx = validation_split(len(y), cfg.validation_fraction, cfg.seed)
+    x_val, y_val = x[val_idx], y[val_idx]
+
+    ws, bs, acts = _working_params(net)
+    masks = [l.mask.astype(np.float64) for l in net.layers]
+    vel_w = [np.zeros_like(w) for w in ws]
+    vel_b = [np.zeros_like(b) for b in bs]
+
+    def val_loss_of(cur_ws, cur_bs) -> float:
+        _, logits = _forward_core(cur_ws, cur_bs, acts, x_val)
+        return _nll(_log_softmax(logits), y_val)
+
+    log = TrainingLog()
+    best_val = val_loss_of(ws, bs)
+    best_ws = [w.copy() for w in ws]
+    best_bs = [b.copy() for b in bs]
+    epochs_since_best = 0
+
+    momentum, lr = cfg.momentum, cfg.learning_rate
+    for epoch in range(1, cfg.max_epochs + 1):
+        order = permutation(len(train_idx), substream(cfg.seed, epoch))
+        shuffled = train_idx[order]
+        loss_sum = 0.0
+        for start in range(0, len(shuffled), cfg.batch_size):
+            idx = shuffled[start:start + cfg.batch_size]
+            w_grads, b_grads, loss = _backprop(ws, bs, acts, masks, x[idx], y[idx])
+            assert math.isfinite(loss)
+            loss_sum += loss * len(idx)
+            for params, vels, grads in ((ws, vel_w, w_grads), (bs, vel_b, b_grads)):
+                for param, vel, grad in zip(params, vels, grads):
+                    vel *= momentum
+                    vel -= np.multiply(grad, lr, out=grad)
+                    param += vel
+        epoch_val = val_loss_of(ws, bs)
+        log.train_losses.append(loss_sum / len(shuffled))
+        log.val_losses.append(epoch_val)
+        if epoch_val < best_val:
+            best_val = epoch_val
+            best_ws = [w.copy() for w in ws]
+            best_bs = [b.copy() for b in bs]
+            log.best_epoch = epoch
+            epochs_since_best = 0
+        else:
+            epochs_since_best += 1
+            if epochs_since_best >= cfg.patience:
+                log.stopped_early = True
+                break
+
+    layers = [
+        DenseLayer(
+            weights=_masked(best_ws[i], masks[i]).astype(np.float32),
+            mask=net.layers[i].mask.copy(),
+            bias=best_bs[i].astype(np.float32),
+            activation=net.layers[i].activation,
+        )
+        for i in range(len(net.layers))
+    ]
+    return Network(layers=layers, generation=net.generation), log
+
+
+# BLAS sums the dense path's extra zero terms in its own order, so the
+# float64 loss curves may differ in the last bits; the binary32 parameters,
+# best_epoch and epoch count may not
+LOSS_ULP_BOUND = 64
+
+
+def _ulps(a, b) -> int:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    assert a.shape == b.shape
+    return int(np.abs(a.view(np.int64) - b.view(np.int64)).max(initial=0))
+
+
+def _assert_matches_dense(net, dataset, cfg, label):
+    got, log = train(net, dataset, cfg)
+    want, ref = _dense_train(net, dataset, cfg)
+    for i, (a, b) in enumerate(zip(got.layers, want.layers)):
+        assert a.weights.tobytes() == b.weights.tobytes(), f"{label}: layer {i} weights"
+        assert a.bias.tobytes() == b.bias.tobytes(), f"{label}: layer {i} bias"
+    assert (log.best_epoch, log.stopped_early) == (ref.best_epoch, ref.stopped_early), label
+    assert len(log.train_losses) == len(ref.train_losses) == len(log.val_losses), label
+    worst = max(_ulps(log.train_losses, ref.train_losses), _ulps(log.val_losses, ref.val_losses))
+    print(f"{label}: best_epoch {log.best_epoch}, {len(log.val_losses)} epochs, "
+          f"loss curves within {worst} ulp of the dense loop")
+    assert worst <= LOSS_ULP_BOUND, label
+    return got, log
+
+
+def _dead_neuron_net(activation):
+    """4-6-5-2 with dead hidden neurons, each dead bias -0.0.
+
+    Hidden layer 0: neuron 2 is dead but keeps all its inputs, neuron 5 is
+    dead because its one outgoing synapse ends at a dead neuron, and
+    neuron 4 has no inputs but is live. Hidden layer 1: neuron 3 is dead.
+    """
+    net = init_network([LayerSpec(4, 6, activation), LayerSpec(6, 5, activation),
+                        LayerSpec(5, 2, activation)], seed=3)
+    m0, m1, m2 = (l.mask for l in net.layers)
+    m0[4, :] = 0
+    m1[:, 2] = 0
+    m1[:, 5] = 0
+    m1[3, 5] = 1
+    m2[:, 3] = 0
+    for layer in net.layers:
+        layer.weights[layer.mask == 0] = 0.0
+    net.layers[0].bias[4] = 0.3
+    net.layers[0].bias[[2, 5]] = -0.0
+    net.layers[1].bias[3] = -0.0
+    net.layers[0].weights[2, 0] = -0.0
+    return net
+
+
+@pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+@pytest.mark.parametrize("learning_rate, improves", [(0.05, True), (10.0, False)],
+                         ids=["best_epoch>0", "best_epoch=0"])
+def test_train_matches_dense_loop_with_dead_neurons(activation, learning_rate, improves):
+    net = _dead_neuron_net(activation)
+    live = _live_rows([l.mask for l in net.layers])
+    assert [np.flatnonzero(~r).tolist() for r in live] == [[2, 5], [3], []]
+    cfg = TrainConfig(learning_rate=learning_rate, max_epochs=6, patience=3, seed=7)
+    with np.errstate(over="ignore"):
+        got, log = _assert_matches_dense(net, _toy_dataset(), cfg, f"{activation} lr {learning_rate}")
+    assert (log.best_epoch > 0) == improves
+    # the dense SGD step turns a dead -0.0 into +0.0; the starting state keeps it
+    dead = [got.layers[0].bias[2], got.layers[0].bias[5], got.layers[1].bias[3],
+            got.layers[0].weights[2, 0]]
+    assert all(v == 0.0 for v in dead)
+    assert [bool(np.signbit(v)) for v in dead] == [not improves] * 4
+
+
+@pytest.fixture(scope="module")
+def lineage_children():
+    """The networks (and train configs) generations 4, 7 and 13 of the
+    acceptance lineage, master seed 1, start training from."""
+    ds = synth_gaussians(500, 16, 3.0, seed=0)
+    calls = {}
+
+    def capture(net, dataset, cfg):
+        calls[net.generation] = (net.copy(), cfg)
+        return train(net, dataset, cfg)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolution, "train", capture)
+        evolution.evolve([LayerSpec(16, 64), LayerSpec(64, 32), LayerSpec(32, 2)], ds,
+                         evolution.EvolutionConfig(master_seed=1))
+    return ds, calls
+
+
+@pytest.mark.parametrize("generation", [4, 7, 13])
+def test_train_matches_dense_loop_on_lineage(lineage_children, generation):
+    ds, calls = lineage_children
+    net, cfg = calls[generation]
+    live = _live_rows([l.mask for l in net.layers])
+    assert not all(r.all() for r in live), "no dead neuron: the case tests nothing"
+    _assert_matches_dense(net, ds, cfg, f"small seed 1 generation {generation}")
+
+
+def _reachable_rows(masks):
+    """Brute force: a neuron is live if some chain of synapses joins it to an output."""
+    live = []
+    for i, mask in enumerate(masks):
+        rows = []
+        for j in range(mask.shape[0]):
+            frontier = {j}
+            for later in masks[i + 1:]:
+                frontier = {r for r in range(later.shape[0]) if any(later[r, c] for c in frontier)}
+            rows.append(bool(frontier))
+        live.append(rows)
+    return live
+
+
+def test_live_rows_match_brute_force_reachability():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        widths = rng.integers(1, 7, size=rng.integers(2, 6)).tolist()
+        density = rng.choice([0.1, 0.3, 0.6])
+        masks = [(rng.random((b, a)) < density).astype(np.uint8) for a, b in zip(widths, widths[1:])]
+        assert [r.tolist() for r in _live_rows(masks)] == _reachable_rows(masks)
+
+
+def test_train_returns_its_validation_split():
+    ds = _toy_dataset()
+    cfg = TrainConfig(max_epochs=2, seed=77)
+    _, log = train(init_network([LayerSpec(4, 8), LayerSpec(8, 2)], seed=21), ds, cfg)
+    tr, va = validation_split(len(ds), cfg.validation_fraction, cfg.seed)
+    assert np.array_equal(log.train_indices, tr) and np.array_equal(log.val_indices, va)
 
 
 def test_train_learns_separable_data():

@@ -9,12 +9,13 @@ output. Every command is deterministic given its inputs and flags.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import functools
+import inspect
 import json
 import os
 import sys
 import typing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, is_dataclass, replace
 
 import numpy as np
 
@@ -24,11 +25,13 @@ from .dataio import (
     load_idx,
     load_lineage_report,
     load_model_and_meta,
+    read_json,
     save_model,
     synth_gaussians,
+    write_text,
 )
 from .errors import ConfigError, EvoSynthError, IntegrityError, InvalidSpec, IoError, ParseError
-from .evolution import EvolutionConfig, evolve
+from .evolution import EvolutionConfig, evolve, training_seed
 from .halfprec import PrecisionPolicy, SATURATE, TO_INFINITY, quantize_network
 from .netcore import (
     LayerSpec,
@@ -39,11 +42,10 @@ from .netcore import (
     inference_cost,
     validation_split,
 )
-from .rng import substream
 
 
 # configuration parsing (strict: unknown keys are errors). Only JSON types
-# are checked here; ranges are checked by the dataclasses themselves.
+# are checked here; ranges are checked by the dataclasses and loaders.
 
 _KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
                list: "a list", dict: "an object", type(None): "null"}
@@ -51,13 +53,8 @@ _KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a 
 # per-run training seeds are derived from the master seed, never configured
 _NOT_CONFIGURABLE = {TrainConfig: ("seed",)}
 
-# dataset source type -> JSON type of each key besides "type"
-_SOURCE_KEYS = {
-    "synthetic": {"n_per_class": int, "n_features": int, "separation": float, "seed": int},
-    "csv": {"path": str},
-    "idx": {"images": str, "labels": str, "limit": int},
-}
-_SOURCE_DEFAULTS = {"seed": 0, "limit": None}
+# dataset source type -> its loader; the loader's parameters are the source's keys
+_SOURCES = {"synthetic": synth_gaussians, "csv": load_csv_dataset, "idx": load_idx}
 
 
 def _is_a(value, kind) -> bool:
@@ -71,12 +68,26 @@ def _is_a(value, kind) -> bool:
 
 
 def _typed(value, kind, where: str):
-    if dataclasses.is_dataclass(kind):
+    if is_dataclass(kind):
         return _build(kind, value, where)
     options = typing.get_args(kind) or (kind,)
     if not any(_is_a(value, k) for k in options):
         raise ConfigError(f"{where} must be {' or '.join(_KIND_NAMES[k] for k in options)}")
     return value
+
+
+@functools.cache
+def _schema(target) -> tuple[dict, tuple]:
+    """(type by key, required keys) of a dataclass's fields or a loader's parameters.
+
+    Keys are the parameter names of ``target``'s signature; a key without
+    a default is required. The returned dict is shared: do not mutate it.
+    """
+    hints = typing.get_type_hints(target)
+    params = [p for p in inspect.signature(target).parameters.values()
+              if p.name not in _NOT_CONFIGURABLE.get(target, ())]
+    return ({p.name: hints[p.name] for p in params},
+            tuple(p.name for p in params if p.default is inspect.Parameter.empty))
 
 
 def _check_object(doc, where: str, kinds: dict, required) -> dict:
@@ -94,11 +105,7 @@ def _check_object(doc, where: str, kinds: dict, required) -> dict:
 
 def _build(cls, doc, where: str):
     """An instance of dataclass `cls` from a JSON object keyed by its field names."""
-    hints = typing.get_type_hints(cls)
-    fields = [f for f in dataclasses.fields(cls) if f.name not in _NOT_CONFIGURABLE.get(cls, ())]
-    required = [f.name for f in fields
-                if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
-    values = _check_object(doc, where, {f.name: hints[f.name] for f in fields}, required)
+    values = _check_object(doc, where, *_schema(cls))
     try:
         return cls(**values)
     except ValueError as exc:
@@ -107,13 +114,11 @@ def _build(cls, doc, where: str):
 
 def _dataset_source(doc, where: str) -> dict:
     kind = doc.get("type") if isinstance(doc, dict) else None
-    if not isinstance(kind, str) or kind not in _SOURCE_KEYS:
+    if not isinstance(kind, str) or kind not in _SOURCES:
         raise ConfigError(f"{where} must be an object with type synthetic, csv or idx, "
                           f"got {kind!r}")
-    kinds = {"type": str, **_SOURCE_KEYS[kind]}
-    defaults = {k: v for k, v in _SOURCE_DEFAULTS.items() if k in kinds}
-    required = [k for k in kinds if k not in defaults]
-    return {**defaults, **_check_object(doc, where, kinds, required)}
+    kinds, required = _schema(_SOURCES[kind])
+    return _check_object(doc, where, {"type": str, **kinds}, required)
 
 
 @dataclass
@@ -124,22 +129,9 @@ class RunConfig:
     out_dir: str | None
 
 
-def _load_json(path: str, where: str) -> dict:
-    def reject(token):
-        raise ConfigError(f"{where} {path}: {token} is not a valid value")
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_constant=reject)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {where} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{where} {path} is not valid JSON: {exc}") from exc
-
-
 def load_run_config(path: str) -> RunConfig:
     where = f"config {path}"
-    doc = _check_object(_load_json(path, "config"), where,
+    doc = _check_object(read_json(path, ConfigError, ConfigError, "config "), where,
                         {"layers": list, "dataset": dict, "evolution": EvolutionConfig,
                          "out_dir": str}, required=("layers", "dataset"))
     specs = [_build(LayerSpec, entry, f"{where}: layers[{i}]")
@@ -157,19 +149,16 @@ def load_run_config(path: str) -> RunConfig:
 
 
 def build_dataset(source: dict) -> Dataset:
-    if source["type"] == "synthetic":
-        return synth_gaussians(source["n_per_class"], source["n_features"],
-                               float(source["separation"]), source["seed"])
-    if source["type"] == "csv":
-        return load_csv_dataset(source["path"])
-    return load_idx(source["images"], source["labels"], source["limit"])
+    """The dataset a checked source describes: its loader called with its keys."""
+    rest = {key: value for key, value in source.items() if key != "type"}
+    return _SOURCES[source["type"]](**rest)
 
 
 def _load_data_arg(arg: str) -> Dataset:
     """--data accepts a CSV path or a JSON dataset-source document."""
     if arg.endswith(".csv"):
         return load_csv_dataset(arg)
-    doc = _load_json(arg, "data source")
+    doc = read_json(arg, ConfigError, ConfigError, "data source ")
     return build_dataset(_dataset_source(doc, f"data source {arg}"))
 
 
@@ -243,11 +232,7 @@ def write_line_chart(path: str, title: str, x_label: str, y_label: str,
                      f'font-family="sans-serif" font-size="12" text-anchor="end" '
                      f'fill="{color}">{name}</text>')
     parts.append("</svg>")
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(parts) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_text(path, "\n".join(parts) + "\n")
 
 
 # subcommands
@@ -293,13 +278,8 @@ def cmd_evolve(args) -> int:
         "f1_first": first.f1,
         "f1_last": last.f1,
     }
-    path = os.path.join(out_dir, "run_summary.json")
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(summary, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_text(os.path.join(out_dir, "run_summary.json"),
+               json.dumps(summary, indent=1, sort_keys=True) + "\n")
     print(f"{len(lineage.records)} generation(s) written to {out_dir} ({lineage.stop_reason})")
     return 0
 
@@ -329,14 +309,15 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    if not 0.0 < args.validation_fraction < 1.0:
-        raise ConfigError("--validation-fraction must be in (0, 1)")
+    try:
+        split = TrainConfig(validation_fraction=args.validation_fraction)
+    except ValueError as exc:
+        raise ConfigError(f"--validation-fraction {args.validation_fraction}: {exc}") from exc
     net, meta = load_model_and_meta(args.model)
     dataset = _load_data_arg(args.data)
     if args.split == "val":
-        # same derivation evolve uses: generation seed -> training substream
-        train_seed = substream(meta.seed, 1)
-        _, val_idx = validation_split(len(dataset), args.validation_fraction, train_seed)
+        _, val_idx = validation_split(len(dataset), split.validation_fraction,
+                                      training_seed(meta.seed))
         features, labels = dataset.features[val_idx], dataset.labels[val_idx]
     else:
         features, labels = dataset.features, dataset.labels

@@ -11,6 +11,10 @@ encoder runs in pure Python and is several times slower). A non-finite
 binary32 weight or bias, or a non-finite `alpha_history` entry, has no
 JSON spelling: `save_model` raises `NumericFailure` for it before the
 file is opened, and the loaders reject it with `IntegrityError`.
+
+Every text file the package reads or writes goes through `read_text`,
+`read_json` and `write_text`: UTF-8 without newline translation, and a
+library error, never a traceback, for each way a read or write can fail.
 """
 
 from __future__ import annotations
@@ -48,6 +52,48 @@ FORMAT_VERSION = 1
 LINEAGE_HEADER = "generation,alpha,active_synapses,total_synapses,macs,train_loss,precision,recall,f1,seed"
 
 
+def read_text(path: str) -> str:
+    """The UTF-8 text of `path`; `IoError` if unreadable, `ParseError` if not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def read_json(path: str, invalid=IntegrityError, unreadable=IoError, label: str = ""):
+    """The JSON document in `path`, with no `NaN` or `Infinity` token.
+
+    A file that cannot be opened raises `unreadable`; one that is not
+    UTF-8, not JSON, nested too deeply to parse or holds a bare `NaN`,
+    `Infinity` or `-Infinity` raises `invalid`. Messages name the file
+    as `label` followed by the path.
+    """
+    def reject(token):
+        raise invalid(f"{label}{path}: {token} is not a valid value")
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh, parse_constant=reject)
+    except OSError as exc:
+        raise unreadable(f"cannot read {label}{path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bytes that are not UTF-8, malformed JSON or an integer
+        # literal beyond Python's digit limit; RecursionError: deep nesting
+        raise invalid(f"{label}{path} is not valid JSON: {exc}") from exc
+
+
+def write_text(path: str, text: str) -> None:
+    """Write `text` to `path` as UTF-8 without newline translation; `IoError` on failure."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
 @dataclass
 class Dataset:
     features: np.ndarray  # float32, [n_samples, n_features]
@@ -74,11 +120,7 @@ def load_csv_dataset(path: str) -> Dataset:
     Row numbers in diagnostics are 1-based file line numbers (the header
     is line 1). Class count is max(label) + 1.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    lines = read_text(path).splitlines()
     if not lines:
         raise EmptyDataset(f"{path} is empty")
     header = lines[0].split(",")
@@ -140,36 +182,40 @@ def _read_idx_header(data: bytes, path: str, expected_magic: int, n_dims: int):
     return dims, data[need:]
 
 
-def load_idx(images_path: str, labels_path: str, limit: int | None = None) -> Dataset:
-    """Big-endian IDX image/label pair, flattened and scaled to [0, 1]."""
+def load_idx(images: str, labels: str, limit: int | None = None) -> Dataset:
+    """Big-endian IDX image/label pair, flattened and scaled to [0, 1].
+
+    `images` and `labels` are file paths; `limit` keeps the first rows.
+    """
     if limit is not None and limit < 1:
         raise InvalidParam(f"limit must be positive, got {limit}")
     try:
-        with open(images_path, "rb") as fh:
+        with open(images, "rb") as fh:
             img_data = fh.read()
-        with open(labels_path, "rb") as fh:
+        with open(labels, "rb") as fh:
             lab_data = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read IDX input: {exc}") from exc
-    (n_img, n_rows, n_cols), img_body = _read_idx_header(img_data, images_path, 0x00000803, 3)
-    (n_lab,), lab_body = _read_idx_header(lab_data, labels_path, 0x00000801, 1)
+    (n_img, n_rows, n_cols), img_body = _read_idx_header(img_data, images, 0x00000803, 3)
+    (n_lab,), lab_body = _read_idx_header(lab_data, labels, 0x00000801, 1)
     if n_img != n_lab:
         raise CountMismatch(f"{n_img} images but {n_lab} labels")
     pixels = n_img * n_rows * n_cols
     if len(img_body) < pixels:
-        raise TruncatedFile(f"{images_path}: needs {pixels} pixel bytes, has {len(img_body)}")
+        raise TruncatedFile(f"{images}: needs {pixels} pixel bytes, has {len(img_body)}")
     if len(lab_body) < n_lab:
-        raise TruncatedFile(f"{labels_path}: needs {n_lab} label bytes, has {len(lab_body)}")
+        raise TruncatedFile(f"{labels}: needs {n_lab} label bytes, has {len(lab_body)}")
     if n_img == 0:
-        raise EmptyDataset(f"{images_path} contains no images")
+        raise EmptyDataset(f"{images} contains no images")
     take = n_img if limit is None else min(limit, n_img)
     raw = np.frombuffer(img_body[:take * n_rows * n_cols], dtype=np.uint8)
     features = (raw.astype(np.float32) / np.float32(255.0)).reshape(take, n_rows * n_cols)
-    labels = np.frombuffer(lab_body[:take], dtype=np.uint8).astype(np.int64)
-    return Dataset(features=features, labels=labels, n_classes=int(labels.max()) + 1)
+    classes = np.frombuffer(lab_body[:take], dtype=np.uint8).astype(np.int64)
+    return Dataset(features=features, labels=classes, n_classes=int(classes.max()) + 1)
 
 
-def synth_gaussians(n_per_class: int, n_features: int, separation: float, seed: int) -> Dataset:
+def synth_gaussians(n_per_class: int, n_features: int, separation: float,
+                    seed: int = 0) -> Dataset:
     """Two unit-variance Gaussian blobs at -+separation/2 along feature 0.
 
     Class 0 first, then class 1. Normal deviates come from a Box-Muller
@@ -263,12 +309,7 @@ def save_model(net: Network, path: str, seed: int = 0,
             entry["weights_f32"] = _f32_decimal_list(layer.weights)
             entry["bias_f32"] = _f32_decimal_list(layer.bias)
         doc["layers"].append(entry)
-    text = _indent1_json(doc) + "\n"
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_text(path, _indent1_json(doc) + "\n")
 
 
 def _require(doc: dict, key: str, kind, where: str):
@@ -283,16 +324,7 @@ def _require(doc: dict, key: str, kind, where: str):
 
 
 def _load_doc(path: str) -> dict:
-    def reject(token):
-        raise IntegrityError(f"{path}: {token} is not a valid value")
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_constant=reject)
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise IntegrityError(f"{path} is not valid JSON: {exc}") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise IntegrityError(f"{path}: top level must be a JSON object")
     version = doc.get("format_version")
@@ -451,11 +483,7 @@ def save_lineage_report(lineage: "Lineage", path: str) -> None:
             _fmt_real(r.f1),
             str(r.seed),
         ]))
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(out) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_text(path, "\n".join(out) + "\n")
 
 
 _INT_COLUMNS = ("generation", "active_synapses", "total_synapses", "macs", "seed")
@@ -468,27 +496,35 @@ def _finite(cell: str) -> float:
     return value
 
 
+def _uint64(cell: str) -> int:
+    # every integer column is a count or a uint64 seed, and report divides counts as floats
+    value = int(cell)
+    if not 0 <= value < 2**64:
+        raise ValueError(f"out of range {cell!r}")
+    return value
+
+
 def load_lineage_report(path: str) -> list[dict]:
-    """Parse a lineage CSV back into per-generation dicts (typed values)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [line for line in fh.read().splitlines() if line.strip()]
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    if not lines or lines[0] != LINEAGE_HEADER:
+    """Parse a lineage CSV back into per-generation dicts (typed values).
+
+    Blank lines are skipped; diagnostics name 1-based file line numbers.
+    """
+    lines = [(lineno, line) for lineno, line in enumerate(read_text(path).splitlines(), start=1)
+             if line.strip()]
+    if not lines or lines[0][1] != LINEAGE_HEADER:
         raise ParseError(f"{path}: first line must be exactly the lineage header")
     if len(lines) < 2:
         raise ParseError(f"{path}: no data rows")
     names = LINEAGE_HEADER.split(",")
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != len(names):
             raise ParseError(f"{path} line {lineno}: expected {len(names)} columns, got {len(cells)}")
         row = {}
         for name, cell in zip(names, cells):
             try:
-                row[name] = int(cell) if name in _INT_COLUMNS else _finite(cell)
+                row[name] = _uint64(cell) if name in _INT_COLUMNS else _finite(cell)
             except ValueError:
                 raise ParseError(f"{path} line {lineno}: bad value for {name}: {cell!r}") from None
         rows.append(row)

@@ -16,8 +16,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .dataio import Dataset, save_lineage_report, save_model
 from .errors import DeadLayer
 from .genetics import calibrate_alpha, encode_dna, synthesize_offspring
@@ -28,6 +26,7 @@ from .netcore import (
     LayerSpec,
     Network,
     TrainConfig,
+    _masked,
     count_active_synapses,
     evaluate_classifier,
     inference_cost,
@@ -50,6 +49,14 @@ def derive_seed(master_seed: int, g: int) -> int:
     0xE220A8397B1DCDAF.
     """
     return substream(master_seed, g)
+
+
+def training_seed(seed_g: int) -> int:
+    """``TrainConfig.seed`` of the generation whose seed is ``seed_g``.
+
+    ``metrics`` rebuilds a stored model's validation split from it.
+    """
+    return substream(seed_g, 1)
 
 
 @dataclass(frozen=True)
@@ -108,7 +115,7 @@ def _spec_of(net: Network) -> list[LayerSpec]:
 
 def _train_quantize_record(child: Network, dataset: Dataset, cfg: EvolutionConfig,
                            g: int, alpha_used: float, seed_g: int):
-    train_cfg = replace(cfg.train, seed=substream(seed_g, 1))
+    train_cfg = replace(cfg.train, seed=training_seed(seed_g))
     trained, log = train(child, dataset, train_cfg)
     quantized = quantize_network(trained, cfg.precision)
     train_idx, val_idx = log.train_indices, log.val_indices
@@ -142,9 +149,8 @@ def step_generation(parent: Network, dataset: Dataset, cfg: EvolutionConfig,
     layers = []
     for i, layer in enumerate(parent.layers):
         m = mask.layers[i]
-        # np.where keeps dropped slots at canonical +0.0; w * 0 can yield -0.0
         layers.append(DenseLayer(
-            weights=np.where(m != 0, base.layers[i].weights, np.float32(0.0)).astype(np.float32),
+            weights=_masked(base.layers[i].weights, m),
             mask=m.copy(),
             bias=base.layers[i].bias.copy(),
             activation=layer.activation,

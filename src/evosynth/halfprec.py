@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericFailure
-from .netcore import DenseLayer, HALF, Network
+from .netcore import DenseLayer, HALF, Network, _check_finite
 
 NAN_F16 = 0x7E00
 MAX_FINITE_F16 = 65504.0
@@ -78,9 +77,7 @@ def quantize_network(net: Network, policy: PrecisionPolicy = PrecisionPolicy()) 
     leaves all values unchanged. The returned copy carries
     ``precision_tag = "half"``.
     """
-    for i, layer in enumerate(net.layers):
-        if not (np.all(np.isfinite(layer.weights)) and np.all(np.isfinite(layer.bias))):
-            raise NumericFailure(f"non-finite parameter in layer {i}")
+    _check_finite(net)
     layers = [
         DenseLayer(
             weights=decode_array(encode_array(layer.weights, policy)),

@@ -196,7 +196,8 @@ def init_network(spec: Sequence[LayerSpec], seed: int) -> Network:
 def _apply_activation(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
         return np.maximum(z, 0.0)
-    return 1.0 / (1.0 + np.exp(-z))
+    with np.errstate(over="ignore"):  # exp(-z) is inf below z = -709; 1 / (1 + inf) is 0.0
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 def _activation_grad(a: np.ndarray, kind: str) -> np.ndarray:
@@ -246,6 +247,12 @@ def _working_params(net: Network):
 def _check_labels(net: Network, labels: np.ndarray):
     if np.any(labels < 0) or np.any(labels >= net.n_classes):
         raise InvalidLabel(f"labels must be in [0, {net.n_classes})")
+
+
+def _check_finite(net: Network):
+    for i, layer in enumerate(net.layers):
+        if not (np.all(np.isfinite(layer.weights)) and np.all(np.isfinite(layer.bias))):
+            raise NumericFailure(f"non-finite parameter in layer {i}")
 
 
 def _check_batch(net: Network, inputs: np.ndarray, labels: np.ndarray):
@@ -360,8 +367,10 @@ def train(net: Network, dataset: "Dataset", cfg: TrainConfig) -> tuple[Network, 
     values see the same operations minus zero terms, which BLAS may sum
     in another order: the float64 loss curves can differ from the dense
     ones by a few ulps, and tests/test_netcore.py checks the binary32
-    result against the dense loop bit for bit.
+    result against the dense loop bit for bit. A NaN or infinite parameter
+    anywhere in ``net`` raises ``NumericFailure`` before any work is done.
     """
+    _check_finite(net)
     x = np.asarray(dataset.features, dtype=np.float64)
     y = np.asarray(dataset.labels, dtype=np.int64)
     if x.ndim != 2 or x.shape[1] != net.in_dim:
@@ -467,10 +476,10 @@ def evaluate_classifier(net: Network, features: np.ndarray, labels: np.ndarray) 
     ratios (0/0) are reported as 0. The macro f1 is the harmonic mean of
     macro precision and macro recall.
     """
-    probs = forward_batch(net, features)
+    x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    _check_labels(net, y)
-    preds = probs.argmax(axis=1)
+    _check_batch(net, x, y)
+    preds = forward_batch(net, x).argmax(axis=1)
     c = net.n_classes
     confusion = np.zeros((c, c), dtype=np.int64)
     np.add.at(confusion, (y, preds), 1)

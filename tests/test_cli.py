@@ -4,13 +4,21 @@ import contextlib
 import hashlib
 import io
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from evosynth import cli, errors
 from evosynth.cli import run
-from evosynth.dataio import LINEAGE_HEADER, load_model, load_model_meta, save_model
+from evosynth.dataio import (
+    LINEAGE_HEADER,
+    load_idx,
+    load_model,
+    load_model_meta,
+    save_model,
+    synth_gaussians,
+)
 from evosynth.evolution import derive_seed
 from evosynth.netcore import DenseLayer, Network
 
@@ -234,6 +242,34 @@ def test_evolve_rejects_hostile_config(tmp_path, capsys, key, mutate):
     assert not (tmp_path / "out").exists()
 
 
+def _idx_source(tmp_path, limit):
+    images, labels = tmp_path / "img.idx", tmp_path / "lab.idx"
+    images.write_bytes(struct.pack(">IIII", 0x00000803, 3, 2, 2) + bytes(range(12)))
+    labels.write_bytes(struct.pack(">II", 0x00000801, 3) + bytes([0, 1, 0]))
+    return {"type": "idx", "images": str(images), "labels": str(labels), "limit": limit}
+
+
+# source -> the dataset its loader, called directly, returns
+ACCEPTED_SOURCES = [
+    ("idx-null-limit", lambda d: _idx_source(d, None),
+     lambda d: load_idx(str(d / "img.idx"), str(d / "lab.idx"))),
+    ("integer-separation", lambda d: dict(DATASET_SOURCE, separation=3),
+     lambda d: synth_gaussians(120, 8, 3.0, 5)),
+]
+
+
+@pytest.mark.parametrize("source, expected", [(s, e) for _, s, e in ACCEPTED_SOURCES],
+                         ids=[name for name, _, _ in ACCEPTED_SOURCES])
+def test_config_accepts_dataset_source(tmp_path, source, expected):
+    doc = _config_doc()
+    doc["dataset"] = source(tmp_path)
+    run_cfg = cli.load_run_config(_write_json(tmp_path / "run.json", doc))
+    got, want = cli.build_dataset(run_cfg.dataset_source), expected(tmp_path)
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert got.n_classes == want.n_classes
+
+
 def test_evolve_one_class_csv_is_data_error(tmp_path, capsys):
     csv = tmp_path / "one.csv"
     csv.write_text("f0,f1,f2,f3,f4,f5,f6,f7,label\n" + "1,0,0,0,0,0,0,0,0\n" * 60)
@@ -397,6 +433,22 @@ def test_metrics_validation_fraction_bounds(run_dir, tmp_path, capsys):
         assert run(["metrics", "--model", str(run_dir / "gen_1.json"),
                     "--data", source, "--validation-fraction", bad]) == 1
     capsys.readouterr()
+
+
+def test_metrics_sigmoid_overflow_stays_quiet(tmp_path, capsys):
+    # 60000 * features drives the sigmoid input far below -709, where exp overflows
+    hidden = DenseLayer(weights=np.full((4, 8), 60000.0, dtype=np.float32),
+                        mask=np.ones((4, 8), dtype=np.uint8), bias=np.zeros(4, dtype=np.float32),
+                        activation="sigmoid")
+    out = DenseLayer(weights=np.ones((2, 4), dtype=np.float32), mask=np.ones((2, 4), dtype=np.uint8),
+                     bias=np.zeros(2, dtype=np.float32), activation="relu")
+    model = tmp_path / "half.json"
+    save_model(Network(layers=[hidden, out], generation=1, precision_tag="half"), str(model))
+    source = _write_json(tmp_path / "source.json", DATASET_SOURCE)
+    assert run(["metrics", "--model", str(model), "--data", source, "--split", "full"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "accuracy" in json.loads(captured.out)
 
 
 def test_metrics_missing_model(tmp_path, capsys):

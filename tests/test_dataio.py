@@ -779,6 +779,24 @@ def test_lineage_load_rejects_non_finite_real(tmp_path, cell):
         load_lineage_report(str(p))
 
 
+@pytest.mark.parametrize("cell", ["-1", str(2**64), "1" + "0" * 400], ids=["-1", "2^64", "10^400"])
+def test_lineage_load_rejects_counts_outside_uint64(tmp_path, cell):
+    # report divides the counts as floats; 10^400 has no float
+    p = tmp_path / "l.csv"
+    rows = ["1,1,100,128,200,0.5,0.9,0.85,0.875,42", f"2,1,{cell},128,190,0.5,0.9,0.85,0.875,43"]
+    p.write_text(LINEAGE_HEADER + "\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ParseError, match="line 3: bad value for active_synapses"):
+        load_lineage_report(str(p))
+
+
+def test_lineage_load_names_file_line_numbers(tmp_path):
+    p = tmp_path / "l.csv"
+    rows = ["1,1,100,128,200,0.5,0.9,0.85,0.875,42", "", "", "2,1,90,128,190,0.5,0.9,0.85,oops,43"]
+    p.write_text(LINEAGE_HEADER + "\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ParseError, match="line 5: bad value for f1"):
+        load_lineage_report(str(p))
+
+
 def test_lineage_missing_file():
     with pytest.raises(IoError):
         load_lineage_report("/nonexistent/l.csv")

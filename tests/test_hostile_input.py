@@ -1,0 +1,124 @@
+"""Hostile input files: every reader exits 1 or 2 with one error line, never a traceback.
+
+A table feeds bytes that are not UTF-8 and JSON nested too deeply to
+parse to each reader in each role; a Hypothesis property mutates the
+bytes of valid model files and lineage CSVs at random.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from evosynth.cli import run
+from evosynth.dataio import LINEAGE_HEADER, save_model
+from evosynth.halfprec import quantize_network
+from evosynth.netcore import LayerSpec, init_network
+
+NOT_UTF8 = b"\xff\xfe{}"  # a UTF-16 byte-order mark
+DEEP_JSON = b"[" * 5000 + b"]" * 5000
+
+SOURCE = {"type": "synthetic", "n_per_class": 20, "n_features": 4, "separation": 3.0, "seed": 1}
+LINEAGE = (f"{LINEAGE_HEADER}\n"
+           "1,1,18,18,23,0.5,0.9,0.9,0.9,7\n"
+           "2,0.84,9,18,14,0.45,0.875,0.85,0.862,9\n")
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A 4-3-2 model in both variants, a data-source document and a lineage CSV."""
+    root = tmp_path_factory.mktemp("hostile")
+    net = init_network([LayerSpec(4, 3), LayerSpec(3, 2)], seed=7)
+    net.layers[0].mask[1, 2] = 0
+    net.layers[0].weights[1, 2] = 0.0
+    save_model(net, str(root / "full.json"), seed=3, alpha_history=[1.0])
+    save_model(quantize_network(net), str(root / "half.json"), seed=3, alpha_history=[1.0])
+    (root / "source.json").write_text(json.dumps(SOURCE))
+    (root / "lineage.csv").write_text(LINEAGE)
+    return root
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_clean_exit(argv, codes):
+    code, out, err = _run(argv)
+    assert code in codes, (argv, code, err)
+    if code == 0:
+        assert err == ""
+    else:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# file suffix, argv around the hostile file f (d holds the valid inputs), exit code
+ROLES = [
+    pytest.param(".json", lambda f, d: ["inspect", "--model", f], 2, id="model-inspect"),
+    pytest.param(".json", lambda f, d: ["metrics", "--model", f, "--data", str(d / "source.json")],
+                 2, id="model-metrics"),
+    pytest.param(".json", lambda f, d: ["quantize", "--model", f, "--out", str(d / "quantized.json")],
+                 2, id="model-quantize"),
+    pytest.param(".json", lambda f, d: ["evolve", "--config", f, "--out", str(d / "run")],
+                 1, id="config"),
+    pytest.param(".json", lambda f, d: ["metrics", "--model", str(d / "half.json"), "--data", f],
+                 1, id="data-source"),
+    pytest.param(".csv", lambda f, d: ["metrics", "--model", str(d / "half.json"), "--data", f,
+                                       "--split", "full"], 2, id="dataset-csv"),
+    pytest.param(".csv", lambda f, d: ["report", "--lineage", f, "--svg-out", str(d / "charts")],
+                 2, id="lineage-csv"),
+]
+
+
+@pytest.mark.parametrize("content", [NOT_UTF8, DEEP_JSON], ids=["not-utf8", "nested-5000"])
+@pytest.mark.parametrize("suffix, argv, code", ROLES)
+def test_reader_rejects_hostile_bytes(inputs, tmp_path, suffix, argv, code, content):
+    hostile = tmp_path / f"hostile{suffix}"
+    hostile.write_bytes(content)
+    _assert_clean_exit(argv(str(hostile), inputs), (code,))
+    assert not (inputs / "run").exists()
+
+
+# random byte mutations of valid files
+
+CHUNKS = st.binary(min_size=1, max_size=4) | st.sampled_from(
+    [b"0", b"9", b"-", b".", b"e", b'"', b",", b":", b"[", b"]", b"{", b"}", b"\n", b" ",
+     b"null", b"true", b"NaN", b"1e999", b"\xff", b"\\u"])
+MUTATIONS = st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+                               st.integers(min_value=0, max_value=2**16), CHUNKS),
+                     min_size=1, max_size=4)
+
+
+def _mutate(data: bytes, mutations) -> bytes:
+    """Apply (kind, position, chunk) edits; a delete removes len(chunk) bytes."""
+    for kind, position, chunk in mutations:
+        at = position % (len(data) + 1)
+        keep = at if kind == "insert" else at + len(chunk)
+        data = data[:at] + (b"" if kind == "delete" else chunk) + data[keep:]
+    return data
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(base=st.sampled_from(["full.json", "half.json"]), mutations=MUTATIONS)
+def test_mutated_model_never_escapes(inputs, base, mutations):
+    model = inputs / "mutated.json"
+    model.write_bytes(_mutate((inputs / base).read_bytes(), mutations))
+    for argv in (["inspect", "--model", str(model)],
+                 ["metrics", "--model", str(model), "--data", str(inputs / "source.json"),
+                  "--split", "full"],
+                 ["quantize", "--model", str(model), "--out", str(inputs / "quantized.json")]):
+        _assert_clean_exit(argv, (0, 2))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(mutations=MUTATIONS)
+def test_mutated_lineage_never_escapes(inputs, mutations):
+    lineage = inputs / "mutated.csv"
+    lineage.write_bytes(_mutate(LINEAGE.encode(), mutations))
+    _assert_clean_exit(["report", "--lineage", str(lineage), "--svg-out", str(inputs / "charts")],
+                       (0, 2))

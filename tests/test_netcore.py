@@ -536,6 +536,21 @@ def test_train_numeric_failure_on_divergence():
         train(net, ds, TrainConfig(learning_rate=1e12, max_epochs=50, patience=50, seed=4))
 
 
+@pytest.mark.parametrize("parameter, max_epochs", [("dead-bias", 5), ("live-weight", 0)])
+def test_train_rejects_non_finite_parameters(parameter, max_epochs):
+    # hidden neuron 5 reaches no output, so sparse training never touches it;
+    # with no epoch to run, no parameter is looked at unless train checks
+    net = init_network([LayerSpec(4, 6), LayerSpec(6, 2)], seed=3)
+    net.layers[1].mask[:, 5] = 0
+    net.layers[1].weights[:, 5] = 0.0
+    if parameter == "dead-bias":
+        net.layers[0].bias[5] = np.inf
+    else:
+        net.layers[0].weights[0, 0] = np.nan
+    with pytest.raises(NumericFailure, match="non-finite parameter in layer 0"):
+        train(net, _toy_dataset(), TrainConfig(max_epochs=max_epochs, seed=1))
+
+
 def test_train_config_validation():
     for kwargs in (
         {"learning_rate": 0.0},
@@ -627,3 +642,9 @@ def test_evaluate_single_class_predictor():
     assert report["recall"][1] == 0.0
     assert report["precision"][1] == 0.0  # 0/0 counts as 0
     assert abs(report["precision"][0] - 0.5) < 1e-12
+
+
+@pytest.mark.parametrize("n_rows, n_labels", [(5, 3), (0, 0)], ids=["5-rows-3-labels", "empty"])
+def test_evaluate_rejects_mismatched_or_empty_batch(n_rows, n_labels):
+    with pytest.raises(ShapeMismatch):
+        evaluate_classifier(_argmax_net(), np.ones((n_rows, 2)), np.zeros(n_labels, dtype=np.int64))

@@ -86,6 +86,7 @@ from .netcore import (
     gradients,
     inference_cost,
     init_network,
+    live_counts,
     mean_loss,
     train,
     validation_split,

@@ -40,6 +40,7 @@ from .netcore import (
     count_active_synapses,
     evaluate_classifier,
     inference_cost,
+    live_counts,
     validation_split,
 )
 
@@ -357,6 +358,7 @@ def cmd_report(args) -> int:
 
 def cmd_inspect(args) -> int:
     net, meta = load_model_and_meta(args.model)
+    live_synapses, live_macs = live_counts(net)
     print(json.dumps({
         "generation": net.generation,
         "precision": meta.precision,
@@ -365,6 +367,8 @@ def cmd_inspect(args) -> int:
         "active_synapses": count_active_synapses(net),
         "total_synapses": sum(l.weights.size for l in net.layers),
         "macs": inference_cost(net),
+        "live_synapses": live_synapses,
+        "live_macs": live_macs,
         "seed": meta.seed,
         "alpha_history": meta.alpha_history,
     }, indent=1))

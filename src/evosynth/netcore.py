@@ -16,12 +16,21 @@ its parameters never move, and ``train`` leaves it out of every batch.
 The one bit such a neuron loses to SGD is a negative zero: the dense step
 adds a +0.0 velocity, and -0.0 + +0.0 is +0.0. So when the best epoch is
 not the starting state, dead parameters come back as ``x + 0.0``.
-Inference keeps the dense path.
+
+Inference runs the same sub-network. The first ``forward``,
+``forward_batch`` or ``mean_loss`` call on a network prepares its plan
+once (``_plan``): the float64 live blocks, kept on the network while
+``net.layers`` holds the same array objects. Preparing it clears the
+``writeable`` flag of every layer array, so a network that has run
+inference is immutable in fact: an in-place write raises instead of
+leaving the plan stale, and new values go in new arrays (``copy()``
+returns writable ones).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -82,11 +91,16 @@ class SynapseMask:
 
 @dataclass
 class Network:
-    """Immutable by convention: operations return new networks."""
+    """Immutable by convention: operations return new networks.
+
+    Inference freezes the layer arrays (see ``_plan``).
+    """
 
     layers: list[DenseLayer]
     generation: int = 1
     precision_tag: str = FULL
+    # (the layer objects it was built from, (ws, bs, acts)); see _plan
+    _plan: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def in_dim(self) -> int:
@@ -244,6 +258,75 @@ def _working_params(net: Network):
     return ws, bs, acts
 
 
+def _live_rows(masks: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Per layer, which output neurons have a path to a network output.
+
+    Backward liveness only: every output of the last layer is live, and a
+    neuron is live when a synapse joins it to a live neuron of the next
+    layer. A neuron without inputs still emits act(bias), so it stays.
+    """
+    live = [np.ones(masks[-1].shape[0], dtype=bool)]
+    for mask in reversed(masks[1:]):
+        live.insert(0, mask[live[0]].any(axis=0))
+    return live
+
+
+def _live_params(layers: Sequence[DenseLayer]):
+    """The backward-live sub-network (``_live_rows``) as float64 blocks.
+
+    Returns ``(ws, bs, acts, masks, live)``: per layer the masked weights
+    and the mask restricted to the live rows and to the columns of the
+    previous layer's live rows (every input column and every output row
+    is kept), the live biases, the activation and the live rows. A layer
+    whose rows are all live is taken whole; the others are gathered by
+    boolean slicing.
+    """
+    live = _live_rows([l.mask for l in layers])
+    keep = [None if rows.all() else rows for rows in live]
+    ws, bs, masks = [], [], []
+    for layer, rows, cols in zip(layers, keep, [None] + keep[:-1]):
+        w, m, b = layer.weights, layer.mask, layer.bias
+        if rows is not None:
+            w, m, b = w[rows], m[rows], b[rows]
+        if cols is not None:
+            w, m = w[:, cols], m[:, cols]
+        ws.append(_masked(w, m).astype(np.float64))
+        bs.append(b.astype(np.float64))
+        masks.append(m)
+    return ws, bs, [l.activation for l in layers], masks, live
+
+
+def _plan(net: Network):
+    """``(ws, bs, acts)`` of ``net``'s live sub-network, prepared once.
+
+    The plan is kept while every layer holds the same weights, mask, bias
+    and activation objects (compared with ``is``). Preparing it clears the
+    ``writeable`` flag of those arrays, so it can never go stale.
+    """
+    source = [v for l in net.layers for v in (l.weights, l.mask, l.bias, l.activation)]
+    cached = net._plan
+    if cached is not None and len(cached[0]) == len(source) \
+            and all(map(operator.is_, cached[0], source)):
+        return cached[1]
+    for layer in net.layers:
+        for array in (layer.weights, layer.mask, layer.bias):
+            array.flags.writeable = False
+    ws, bs, acts, _, _ = _live_params(net.layers)
+    net._plan = (source, (ws, bs, acts))
+    return net._plan[1]
+
+
+def _probabilities(plan, x: np.ndarray) -> np.ndarray:
+    """float32 class probabilities of the float64 batch ``x`` under a plan."""
+    ws, bs, acts = plan
+    with np.errstate(invalid="ignore"):  # a +inf logit makes inf - inf; caught below
+        _, logits = _forward_core(ws, bs, acts, x)
+        probs = np.exp(_log_softmax(logits)).astype(np.float32)
+    if not np.isfinite(probs).all():
+        raise NumericFailure("non-finite class probability")
+    return probs
+
+
 def _check_labels(net: Network, labels: np.ndarray):
     if np.any(labels < 0) or np.any(labels >= net.n_classes):
         raise InvalidLabel(f"labels must be in [0, {net.n_classes})")
@@ -270,17 +353,18 @@ def forward(net: Network, input: Sequence[float]) -> np.ndarray:
     x = np.asarray(input, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != net.in_dim:
         raise ShapeMismatch(f"input must have length {net.in_dim}, got shape {x.shape}")
-    return forward_batch(net, x[None])[0]
+    return _probabilities(_plan(net), x[None])[0]
 
 
 def forward_batch(net: Network, inputs: np.ndarray) -> np.ndarray:
-    """Class probabilities for a batch, [n, n_classes] float32."""
+    """Class probabilities for a batch, [n, n_classes] float32.
+
+    A NaN or infinite probability raises ``NumericFailure``.
+    """
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.in_dim:
         raise ShapeMismatch(f"batch features must be [n, {net.in_dim}], got {x.shape}")
-    ws, bs, acts = _working_params(net)
-    _, logits = _forward_core(ws, bs, acts, x)
-    return np.exp(_log_softmax(logits)).astype(np.float32)
+    return _probabilities(_plan(net), x)
 
 
 def mean_loss(net: Network, batch_inputs: np.ndarray, batch_labels: np.ndarray) -> float:
@@ -288,7 +372,7 @@ def mean_loss(net: Network, batch_inputs: np.ndarray, batch_labels: np.ndarray) 
     x = np.asarray(batch_inputs, dtype=np.float64)
     y = np.asarray(batch_labels, dtype=np.int64)
     _check_batch(net, x, y)
-    ws, bs, acts = _working_params(net)
+    ws, bs, acts = _plan(net)
     _, logits = _forward_core(ws, bs, acts, x)
     return _nll(_log_softmax(logits), y)
 
@@ -323,19 +407,6 @@ def gradients(net: Network, batch_inputs: np.ndarray, batch_labels: np.ndarray) 
     masks = [l.mask.astype(np.float64) for l in net.layers]
     w_grads, b_grads, loss = _backprop(ws, bs, acts, masks, x, y)
     return Gradients(weights=w_grads, biases=b_grads, loss=loss)
-
-
-def _live_rows(masks: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Per layer, which output neurons have a path to a network output.
-
-    Backward liveness only: every output of the last layer is live, and a
-    neuron is live when a synapse joins it to a live neuron of the next
-    layer. A neuron without inputs still emits act(bias), so it stays.
-    """
-    live = [np.ones(masks[-1].shape[0], dtype=bool)]
-    for mask in reversed(masks[1:]):
-        live.insert(0, mask[live[0]].any(axis=0))
-    return live
 
 
 def validation_split(n_samples: int, fraction: float, seed: int):
@@ -387,13 +458,8 @@ def train(net: Network, dataset: "Dataset", cfg: TrainConfig) -> tuple[Network, 
         )
     x_val, y_val = x[val_idx], y[val_idx]
 
-    live = _live_rows([l.mask for l in net.layers])
-    blocks = [np.ix_(rows, cols) for rows, cols in
-              zip(live, [np.ones(net.in_dim, dtype=bool)] + live[:-1])]
-    ws = [_masked(l.weights[b], l.mask[b]).astype(np.float64) for l, b in zip(net.layers, blocks)]
-    bs = [l.bias[rows].astype(np.float64) for l, rows in zip(net.layers, live)]
-    acts = [l.activation for l in net.layers]
-    masks = [l.mask[b].astype(np.float64) for l, b in zip(net.layers, blocks)]
+    ws, bs, acts, masks, live = _live_params(net.layers)
+    masks = [m.astype(np.float64) for m in masks]
     vel_w = [np.zeros_like(w) for w in ws]
     vel_b = [np.zeros_like(b) for b in bs]
 
@@ -452,7 +518,8 @@ def train(net: Network, dataset: "Dataset", cfg: TrainConfig) -> tuple[Network, 
         if log.best_epoch > 0:  # the dense step's +0.0 velocity: -0.0 -> +0.0
             weights += np.float32(0.0)
             bias += np.float32(0.0)
-        weights[blocks[i]] = _masked(best_ws[i], masks[i]).astype(np.float32)
+        cols = live[i - 1] if i else np.ones(net.in_dim, dtype=bool)
+        weights[np.ix_(live[i], cols)] = _masked(best_ws[i], masks[i]).astype(np.float32)
         bias[live[i]] = best_bs[i].astype(np.float32)
         layers.append(DenseLayer(weights=weights, mask=layer.mask.copy(), bias=bias,
                                  activation=layer.activation))
@@ -467,6 +534,18 @@ def count_active_synapses(net: Network) -> int:
 def inference_cost(net: Network) -> int:
     """Multiply-accumulate count: one MAC per active synapse plus one add per bias."""
     return count_active_synapses(net) + sum(l.bias.shape[0] for l in net.layers)
+
+
+def live_counts(net: Network) -> tuple[int, int]:
+    """(live synapses, live MACs): the counts above over backward-live neurons only.
+
+    Live synapses are the active synapses into neurons with a path to an
+    output (``_live_rows``); live MACs add one per live bias. Inference
+    (``_plan``) drops every other neuron.
+    """
+    live = _live_rows([l.mask for l in net.layers])
+    synapses = sum(int(np.count_nonzero(l.mask[rows])) for l, rows in zip(net.layers, live))
+    return synapses, synapses + sum(int(np.count_nonzero(rows)) for rows in live)
 
 
 def evaluate_classifier(net: Network, features: np.ndarray, labels: np.ndarray) -> dict:

@@ -182,26 +182,27 @@ def test_criterion_5_sampling_statistics():
                f"worst density inversion error {worst:.2e} <= 1e-3")
 
 
-def _fd_weight_grad(net, x, y, li, idx, eps=1e-3):
-    w = net.layers[li].weights
-    orig = w[idx]
-    w[idx] = np.float32(float(orig) + eps)
-    up, lp = float(w[idx]), mean_loss(net, x, y)
-    w[idx] = np.float32(float(orig) - eps)
-    dn, lm = float(w[idx]), mean_loss(net, x, y)
-    w[idx] = orig
+def _fd_grad(net, x, y, li, key, idx, eps):
+    # inference freezes a network's arrays, so each probe is a new array
+    layer = net.layers[li]
+    orig = getattr(layer, key)
+    probes = []
+    for step in (eps, -eps):
+        probe = orig.copy()
+        probe[idx] = np.float32(float(orig[idx]) + step)
+        setattr(layer, key, probe)
+        probes.append((float(probe[idx]), mean_loss(net, x, y)))
+    setattr(layer, key, orig)
+    (up, lp), (dn, lm) = probes
     return (lp - lm) / (up - dn)
+
+
+def _fd_weight_grad(net, x, y, li, idx, eps=1e-3):
+    return _fd_grad(net, x, y, li, "weights", idx, eps)
 
 
 def _fd_bias_grad(net, x, y, li, idx, eps=1e-3):
-    b = net.layers[li].bias
-    orig = b[idx]
-    b[idx] = np.float32(float(orig) + eps)
-    up, lp = float(b[idx]), mean_loss(net, x, y)
-    b[idx] = np.float32(float(orig) - eps)
-    dn, lm = float(b[idx]), mean_loss(net, x, y)
-    b[idx] = orig
-    return (lp - lm) / (up - dn)
+    return _fd_grad(net, x, y, li, "bias", idx, eps)
 
 
 def _masked_random_net(spec, i):

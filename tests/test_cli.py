@@ -20,7 +20,7 @@ from evosynth.dataio import (
     synth_gaussians,
 )
 from evosynth.evolution import derive_seed
-from evosynth.netcore import DenseLayer, Network
+from evosynth.netcore import DenseLayer, Network, live_counts
 
 DATASET_SOURCE = {"type": "synthetic", "n_per_class": 120, "n_features": 8,
                   "separation": 3.0, "seed": 5}
@@ -555,6 +555,15 @@ def test_inspect_fields(run_dir, capsys):
     assert len(info["alpha_history"]) == 2
 
 
+def test_inspect_reports_live_counts(run_dir, capsys):
+    assert run(["inspect", "--model", str(run_dir / "gen_4.json")]) == 0
+    info = json.loads(capsys.readouterr().out)
+    live = live_counts(load_model(str(run_dir / "gen_4.json")))
+    assert (info["live_synapses"], info["live_macs"]) == live
+    assert 0 < info["live_synapses"] <= info["active_synapses"]
+    assert info["live_macs"] - info["live_synapses"] <= info["macs"] - info["active_synapses"]
+
+
 def test_inspect_corrupt_model(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text("{\"format_version\": 9}")
@@ -638,6 +647,19 @@ def test_read_commands_accept_half_infinity_codes(run_dir, tmp_path, capsys, com
             "metrics": ["--data", _write_json(tmp_path / "source.json", DATASET_SOURCE)]}[command]
     assert run([command, "--model", str(path), *argv]) == 0
     capsys.readouterr()
+
+
+def test_metrics_rejects_positive_infinity_output_bias(run_dir, tmp_path, capsys):
+    # a +inf logit makes the softmax compute inf - inf; metrics must not
+    # report numbers computed from NaN probabilities
+    path = tmp_path / "half.json"
+    doc = json.loads((run_dir / "gen_2.json").read_text())
+    doc["layers"][-1]["bias_f16"][0] = 0x7C00
+    argv = ["--data", _write_json(tmp_path / "source.json", DATASET_SOURCE)]
+    assert run(["metrics", "--model", _write_json(path, doc), *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: non-finite class probability\n"
 
 
 def _spell_first_weight(text, spelling):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from evosynth import evolution
+from evosynth import evolution, netcore
 from evosynth.dataio import synth_gaussians
 from evosynth.errors import (
     DatasetTooSmall,
@@ -15,6 +15,7 @@ from evosynth.errors import (
     NumericFailure,
     ShapeMismatch,
 )
+from evosynth.halfprec import quantize_network
 from evosynth.netcore import (
     DenseLayer,
     LayerSpec,
@@ -35,6 +36,7 @@ from evosynth.netcore import (
     gradients,
     inference_cost,
     init_network,
+    live_counts,
     mean_loss,
     train,
     validation_split,
@@ -134,26 +136,27 @@ def test_mean_loss_validates_labels():
 # gradients
 
 
-def _fd_weight_grad(net, x, y, li, idx, eps=1e-3):
-    w = net.layers[li].weights
-    orig = w[idx]
-    w[idx] = np.float32(float(orig) + eps)
-    up, lp = float(w[idx]), mean_loss(net, x, y)
-    w[idx] = np.float32(float(orig) - eps)
-    dn, lm = float(w[idx]), mean_loss(net, x, y)
-    w[idx] = orig
+def _fd_grad(net, x, y, li, key, idx, eps):
+    # inference freezes a network's arrays, so each probe is a new array
+    layer = net.layers[li]
+    orig = getattr(layer, key)
+    probes = []
+    for step in (eps, -eps):
+        probe = orig.copy()
+        probe[idx] = np.float32(float(orig[idx]) + step)
+        setattr(layer, key, probe)
+        probes.append((float(probe[idx]), mean_loss(net, x, y)))
+    setattr(layer, key, orig)
+    (up, lp), (dn, lm) = probes
     return (lp - lm) / (up - dn)
+
+
+def _fd_weight_grad(net, x, y, li, idx, eps=1e-3):
+    return _fd_grad(net, x, y, li, "weights", idx, eps)
 
 
 def _fd_bias_grad(net, x, y, li, idx, eps=1e-3):
-    b = net.layers[li].bias
-    orig = b[idx]
-    b[idx] = np.float32(float(orig) + eps)
-    up, lp = float(b[idx]), mean_loss(net, x, y)
-    b[idx] = np.float32(float(orig) - eps)
-    dn, lm = float(b[idx]), mean_loss(net, x, y)
-    b[idx] = orig
-    return (lp - lm) / (up - dn)
+    return _fd_grad(net, x, y, li, "bias", idx, eps)
 
 
 def _rel_err(a, b):
@@ -439,6 +442,146 @@ def test_live_rows_match_brute_force_reachability():
         density = rng.choice([0.1, 0.3, 0.6])
         masks = [(rng.random((b, a)) < density).astype(np.uint8) for a, b in zip(widths, widths[1:])]
         assert [r.tolist() for r in _live_rows(masks)] == _reachable_rows(masks)
+
+
+def _random_masked_net(rng, widths, density, activation="relu"):
+    layers = []
+    for a, b in zip(widths, widths[1:]):
+        mask = (rng.random((b, a)) < density).astype(np.uint8)
+        weights = np.where(mask != 0, rng.normal(size=(b, a)), 0.0).astype(np.float32)
+        layers.append(DenseLayer(weights, mask, rng.normal(size=b).astype(np.float32), activation))
+    return Network(layers)
+
+
+def test_live_counts_match_brute_force_reachability():
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        widths = rng.integers(1, 7, size=rng.integers(2, 6)).tolist()
+        net = _random_masked_net(rng, widths, rng.choice([0.1, 0.3, 0.6]))
+        masks = [l.mask for l in net.layers]
+        reach = _reachable_rows(masks)
+        synapses = sum(int(m[r, c]) for m, rows in zip(masks, reach)
+                       for r in range(m.shape[0]) if rows[r] for c in range(m.shape[1]))
+        assert live_counts(net) == (synapses, synapses + sum(map(sum, reach)))
+
+
+# the inference plan: forward, forward_batch and mean_loss run the live
+# sub-network, and must give the dense path's float32 probabilities bit for bit
+
+
+def _dense_probabilities(net, x):
+    """The dense inference path forward_batch used before it had a plan."""
+    ws, bs, acts = _working_params(net)
+    _, logits = _forward_core(ws, bs, acts, np.asarray(x, dtype=np.float64))
+    return np.exp(_log_softmax(logits)).astype(np.float32)
+
+
+def _assert_plan_matches_dense(net, x, label, single_rows=40):
+    want = _dense_probabilities(net, x)
+    assert forward_batch(net, x).tobytes() == want.tobytes(), f"{label}: forward_batch"
+    for i in range(min(single_rows, len(x))):
+        assert forward(net, x[i]).tobytes() == want[i].tobytes(), f"{label}: forward row {i}"
+
+
+@pytest.fixture(scope="module")
+def stored_lineages():
+    """Generations 1, 4, 7 and 13 of master seed 1 as evolve stores them,
+    on the acceptance shape and on the wide one, with held-out rows."""
+    cases = {}
+    for shape, widths in (("small", [16, 64, 32, 2]), ("wide", [256, 128, 64, 2])):
+        stored = {}
+
+        def capture(net, policy):
+            stored[net.generation] = quantize_network(net, policy)
+            return stored[net.generation]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evolution, "quantize_network", capture)
+            evolution.evolve([LayerSpec(a, b) for a, b in zip(widths, widths[1:])],
+                             synth_gaussians(500, widths[0], 3.0, seed=0),
+                             evolution.EvolutionConfig(master_seed=1))
+        heldout = synth_gaussians(500, widths[0], 3.0, seed=2**32).features
+        cases[shape] = ({g: stored[g].copy() for g in (1, 4, 7, 13)}, heldout)
+    return cases
+
+
+@pytest.mark.parametrize("generation", [1, 4, 7, 13])
+@pytest.mark.parametrize("shape", ["small", "wide"])
+def test_plan_matches_dense_path_on_lineage(stored_lineages, shape, generation):
+    nets, heldout = stored_lineages[shape]
+    net = nets[generation]
+    live = _live_rows([l.mask for l in net.layers])
+    assert all(r.all() for r in live) == (generation == 1), "only generation 1 is all live"
+    _assert_plan_matches_dense(net, heldout, f"{shape} seed 1 generation {generation}")
+    planned = [w.shape for w in netcore._plan(net)[0]]
+    assert planned == [(int(r.sum()), w.shape[1] if i == 0 else int(live[i - 1].sum()))
+                       for i, (r, w) in enumerate(zip(live, (l.weights for l in net.layers)))]
+
+
+@pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+def test_plan_matches_dense_path_with_dead_neurons(activation):
+    net = _dead_neuron_net(activation)
+    x = np.random.default_rng(5).normal(scale=2.0, size=(64, 4))
+    _assert_plan_matches_dense(net, x, activation)
+    ws, bs, acts = _working_params(net)
+    _, logits = _forward_core(ws, bs, acts, x)
+    y = np.arange(64) % 2
+    assert mean_loss(net, x, y) == _nll(_log_softmax(logits), y)
+
+
+def test_plan_matches_dense_path_on_random_masks():
+    rng = np.random.default_rng(13)
+    for k in range(200):
+        widths = rng.integers(1, 9, size=rng.integers(2, 5)).tolist()
+        widths[-1] = max(widths[-1], 2)
+        net = _random_masked_net(rng, widths, rng.choice([0.2, 0.5, 0.9]),
+                                 rng.choice(["relu", "sigmoid"]))
+        _assert_plan_matches_dense(net, rng.normal(size=(16, widths[0])), f"net {k}", 4)
+
+
+def test_plan_freezes_the_arrays_it_was_built_from():
+    net = _dead_neuron_net("relu")
+    x = np.random.default_rng(6).normal(size=(8, 4))
+    before = forward(net, x[0])
+    for layer in net.layers:
+        for array in (layer.weights, layer.mask, layer.bias):
+            assert not array.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        net.layers[2].bias[0] = 4.0
+    fresh = net.copy()
+    assert all(a.flags.writeable for l in fresh.layers for a in (l.weights, l.mask, l.bias))
+    fresh.layers[2].bias[0] = 4.0
+    assert forward(fresh, x[0]).tobytes() == _dense_probabilities(fresh, x[:1])[0].tobytes()
+    assert forward(fresh, x[0])[0] > before[0]
+    # a layer array replaced by a new one gets a new plan
+    net.layers[2].bias = fresh.layers[2].bias
+    assert forward_batch(net, x).tobytes() == forward_batch(fresh, x).tobytes()
+
+
+def test_forward_does_not_go_through_forward_batch(monkeypatch):
+    # a tracer that rebinds netcore.forward_batch must not count single rows
+    net = _dead_neuron_net("sigmoid")
+    x = np.random.default_rng(7).normal(size=(6, 4))
+    want = [forward(net, row) for row in x]
+
+    def fail(*args, **kwargs):
+        raise AssertionError("forward called forward_batch")
+
+    monkeypatch.setattr(netcore, "forward_batch", fail)
+    assert all(netcore.forward(net, row).tobytes() == w.tobytes() for row, w in zip(x, want))
+
+
+def test_forward_batch_rejects_non_finite_probabilities():
+    net = _dead_neuron_net("relu").copy()
+    x = np.ones((3, 4))
+    net.layers[2].bias[0] = np.inf  # +inf logit: inf - inf in the softmax
+    with pytest.raises(NumericFailure, match="non-finite class probability"):
+        forward_batch(net, x)
+    with pytest.raises(NumericFailure):
+        forward(net, x[0])
+    net = net.copy()
+    net.layers[2].bias[0] = -np.inf  # a class that is never predicted is finite
+    assert forward_batch(net, x)[:, 0].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_train_returns_its_validation_split():

@@ -430,6 +430,10 @@ def run(argv=None) -> int:
     except EvoSynthError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError as exc:
+        # a size in the config or data-source document that this host cannot allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return ConfigError.exit_code
 
 
 if __name__ == "__main__":

@@ -228,6 +228,8 @@ def synth_gaussians(n_per_class: int, n_features: int, separation: float,
     if not separation > 0:
         raise InvalidParam(f"separation must be positive, got {separation}")
     count = 2 * n_per_class * n_features
+    if count > np.iinfo(np.intp).max // 8:  # numpy cannot even size the float64 array
+        raise InvalidParam(f"2 * n_per_class * n_features = {count} values exceed any address space")
     pairs = (count + 1) // 2
     u = uniform_block(seed, 2 * pairs)
     u1, u2 = u[0::2], u[1::2]

@@ -2,13 +2,15 @@
 
 Generation 1 is a trained, quantized ancestor. Every later generation
 samples its topology from the parent's DNA under a calibrated
-environmental factor, inherits surviving weights (or re-initializes),
-trains at full precision and is then constrained to binary16. Because
-DNA assigns probability 0 to absent synapses, active counts never grow.
+environmental factor, inherits the surviving weights, trains at full
+precision and is then constrained to binary16 with saturating overflow.
+Because DNA assigns probability 0 to absent synapses, active counts
+never grow.
 
 All randomness flows from one master seed. Generation g draws its seed
 via ``derive_seed``; substream 0 of that seed drives synthesis,
-substream 1 the training run and substream 2 fresh initialization.
+substream 1 the training run, and substream 2 of generation 1's seed
+initializes the ancestor.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from .dataio import Dataset, save_lineage_report, save_model
 from .errors import DeadLayer
 from .genetics import calibrate_alpha, encode_dna, synthesize_offspring
-from .halfprec import PrecisionPolicy, quantize_network
+from .halfprec import quantize_network
 from .netcore import (
     FULL,
     DenseLayer,
@@ -64,8 +66,6 @@ class EvolutionConfig:
     generations: int = 13
     retention_per_generation: float = 0.84
     train: TrainConfig = field(default_factory=TrainConfig)
-    precision: PrecisionPolicy = field(default_factory=PrecisionPolicy)
-    inherit_weights: bool = True
     stop_on_metric_drop: float | None = 0.10
     master_seed: int = 0
 
@@ -106,18 +106,11 @@ class Lineage:
     stop_reason: str = COMPLETED
 
 
-def _spec_of(net: Network) -> list[LayerSpec]:
-    return [
-        LayerSpec(in_dim=l.weights.shape[1], out_dim=l.weights.shape[0], activation=l.activation)
-        for l in net.layers
-    ]
-
-
 def _train_quantize_record(child: Network, dataset: Dataset, cfg: EvolutionConfig,
                            g: int, alpha_used: float, seed_g: int):
     train_cfg = replace(cfg.train, seed=training_seed(seed_g))
     trained, log = train(child, dataset, train_cfg)
-    quantized = quantize_network(trained, cfg.precision)
+    quantized = quantize_network(trained)
     train_idx, val_idx = log.train_indices, log.val_indices
     metrics = evaluate_classifier(quantized, dataset.features[val_idx], dataset.labels[val_idx])
     record = GenerationRecord(
@@ -145,25 +138,19 @@ def step_generation(parent: Network, dataset: Dataset, cfg: EvolutionConfig,
     cal = calibrate_alpha(dna, cfg.retention_per_generation)
     seed_g = derive_seed(cfg.master_seed, g)
     mask = synthesize_offspring(dna, cal.env, substream(seed_g, 0))
-    base = parent if cfg.inherit_weights else init_network(_spec_of(parent), substream(seed_g, 2))
-    layers = []
-    for i, layer in enumerate(parent.layers):
-        m = mask.layers[i]
-        layers.append(DenseLayer(
-            weights=_masked(base.layers[i].weights, m),
-            mask=m.copy(),
-            bias=base.layers[i].bias.copy(),
-            activation=layer.activation,
-        ))
+    layers = [
+        DenseLayer(weights=_masked(layer.weights, m), mask=m, bias=layer.bias.copy(),
+                   activation=layer.activation)
+        for layer, m in zip(parent.layers, mask.layers)
+    ]
     child = Network(layers=layers, generation=g, precision_tag=FULL)
     return _train_quantize_record(child, dataset, cfg, g, cal.env.alpha, seed_g)
 
 
-def _persist(net: Network, record: GenerationRecord, out_dir: str | None,
-             alpha_history: list[float]) -> None:
+def _persist(net: Network, records: list[GenerationRecord], out_dir: str | None) -> None:
     if out_dir is not None:
-        save_model(net, os.path.join(out_dir, record.model_path),
-                   seed=record.seed, alpha_history=alpha_history)
+        save_model(net, os.path.join(out_dir, records[-1].model_path), seed=records[-1].seed,
+                   alpha_history=[r.alpha_used for r in records])
 
 
 def evolve(spec: list[LayerSpec], dataset: Dataset, cfg: EvolutionConfig,
@@ -180,8 +167,7 @@ def evolve(spec: list[LayerSpec], dataset: Dataset, cfg: EvolutionConfig,
     ancestor = init_network(spec, substream(seed_1, 2))
     current, record = _train_quantize_record(ancestor, dataset, cfg, 1, 1.0, seed_1)
     records = [record]
-    alpha_history = [record.alpha_used]
-    _persist(current, record, out_dir, alpha_history)
+    _persist(current, records, out_dir)
     stop_reason = COMPLETED
     for g in range(2, cfg.generations + 1):
         try:
@@ -193,8 +179,7 @@ def evolve(spec: list[LayerSpec], dataset: Dataset, cfg: EvolutionConfig,
             stop_reason = STOP_METRIC_DROP
             break
         records.append(rec)
-        alpha_history.append(rec.alpha_used)
-        _persist(child, rec, out_dir, alpha_history)
+        _persist(child, records, out_dir)
         current = child
     lineage = Lineage(records=records, config=cfg, stop_reason=stop_reason)
     if out_dir is not None:

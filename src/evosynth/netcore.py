@@ -236,8 +236,8 @@ def _forward_core(ws, bs, acts, x):
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    m = logits.max(axis=1, keepdims=True)
-    return logits - m - np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
+    z = logits - logits.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
 def _nll(logp: np.ndarray, y: np.ndarray) -> float:

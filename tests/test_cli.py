@@ -214,13 +214,14 @@ def _set(*path_and_value):
 HOSTILE_CONFIGS = [
     ("batch_size", _set("evolution", "train", "batch_size", True)),
     ("separation", _set("dataset", "separation", "3")),
-    ("precision", _set("evolution", "precision", 5)),
+    # evolve always inherits weights and saturates: both former settings are unknown keys
+    ("precision", _set("evolution", "precision", {"overflow": "saturate"})),
+    ("inherit_weights", _set("evolution", "inherit_weights", True)),
     ("train", _set("evolution", "train", [])),
     ("layers", _set("layers", [])),
     ("top_extra", _set("top_extra", 1)),
     ("evolution_extra", _set("evolution", "evolution_extra", 1)),
     ("train_extra", _set("evolution", "train", "train_extra", 1)),
-    ("precision_extra", _set("evolution", "precision", {"precision_extra": 1})),
     ("layer_extra", _set("layers", 0, "layer_extra", 1)),
     ("dataset_extra", _set("dataset", "dataset_extra", 1)),
     # json.dumps writes these as the bare tokens NaN, Infinity and -Infinity
@@ -455,6 +456,27 @@ def test_metrics_missing_model(tmp_path, capsys):
     source = _write_json(tmp_path / "source.json", DATASET_SOURCE)
     assert run(["metrics", "--model", "/nonexistent/m.json", "--data", source]) == 2
     capsys.readouterr()
+
+
+# 10**17 rows of 8 features are more values than numpy can size an array for; of 1
+# feature, 1.4 EiB, which no allocator grants. Neither commits any memory.
+@pytest.mark.parametrize("n_features, message", [(8, "n_per_class"), (1, "out of memory")])
+@pytest.mark.parametrize("command", ["evolve", "metrics"])
+def test_oversized_dataset_is_config_error(tmp_path, capsys, command, n_features, message):
+    source = dict(DATASET_SOURCE, n_per_class=10**17, n_features=n_features)
+    out = tmp_path / "out"
+    if command == "evolve":
+        doc = _config_doc()
+        doc["dataset"] = source
+        argv = ["evolve", "--config", _write_json(tmp_path / "run.json", doc), "--out", str(out)]
+    else:
+        argv = ["metrics", "--model", _full_model(tmp_path, np.full((2, 8), 0.5)),
+                "--data", _write_json(tmp_path / "source.json", source), "--split", "full"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
 
 
 # report

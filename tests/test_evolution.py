@@ -160,15 +160,6 @@ def test_step_dropped_negative_weights_persist_cleanly(tiny_dataset, tmp_path):
     load_model(path)
 
 
-def test_step_fresh_weights_differ_from_parent(tiny_dataset):
-    parent = _uniform_magnitude_parent()
-    cfg = _cfg(retention_per_generation=1.0, inherit_weights=False,
-               train=TrainConfig(max_epochs=0, batch_size=16), master_seed=9)
-    child, _ = step_generation(parent, tiny_dataset, cfg, 2)
-    np.testing.assert_array_equal(child.layers[0].mask, parent.layers[0].mask)
-    assert child.layers[0].weights.tobytes() != parent.layers[0].weights.tobytes()
-
-
 def test_step_masks_only_shrink(dataset):
     cfg = _cfg(master_seed=3)
     lin = evolve(SPEC, dataset, cfg)

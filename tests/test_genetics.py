@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from evosynth.errors import DeadLayer
 from evosynth.genetics import (
@@ -252,6 +254,23 @@ def test_calibrate_inverts_expected_density():
         res = calibrate_alpha(dna, target)
         assert abs(res.env.alpha - alpha_star) <= 1e-3
         assert abs(res.expected - target) <= 1e-4
+
+
+DNA_LAYER = hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                       elements=st.floats(0.0, 1.0))
+TARGET = st.floats(0.0, 1.0, exclude_min=True)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(layers=st.lists(DNA_LAYER, min_size=1, max_size=3), t1=TARGET, t2=TARGET)
+def test_calibrate_monotone_in_target(layers, t1, t2):
+    t1, t2 = sorted((t1, t2))
+    for p in layers:
+        p.flat[p.argmax()] = 1.0  # each layer's peak, as encode_dna guarantees
+    dna = _spm(layers)
+    low, high = calibrate_alpha(dna, t1), calibrate_alpha(dna, t2)
+    assert low.env.alpha <= high.env.alpha
+    assert high.saturated or not low.saturated
 
 
 def test_calibrate_is_the_closed_form_quotient():

@@ -2,7 +2,7 @@
 
 A table feeds bytes that are not UTF-8 and JSON nested too deeply to
 parse to each reader in each role; a Hypothesis property mutates the
-bytes of valid model files and lineage CSVs at random.
+bytes of valid model files, lineage CSVs and run configs at random.
 """
 
 import contextlib
@@ -12,8 +12,9 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evosynth.cli import run
+from evosynth.cli import RunConfig, load_run_config, run
 from evosynth.dataio import LINEAGE_HEADER, save_model
+from evosynth.errors import ConfigError
 from evosynth.halfprec import quantize_network
 from evosynth.netcore import LayerSpec, init_network
 
@@ -24,6 +25,16 @@ SOURCE = {"type": "synthetic", "n_per_class": 20, "n_features": 4, "separation":
 LINEAGE = (f"{LINEAGE_HEADER}\n"
            "1,1,18,18,23,0.5,0.9,0.9,0.9,7\n"
            "2,0.84,9,18,14,0.45,0.875,0.85,0.862,9\n")
+CONFIG = {
+    "layers": [{"in_dim": 4, "out_dim": 3, "activation": "relu"},
+               {"in_dim": 3, "out_dim": 2, "activation": "sigmoid"}],
+    "dataset": SOURCE,
+    "evolution": {"generations": 3, "retention_per_generation": 0.84, "stop_on_metric_drop": 0.1,
+                  "master_seed": 7, "train": {"learning_rate": 0.05, "momentum": 0.9,
+                                              "batch_size": 8, "max_epochs": 5, "patience": 2,
+                                              "validation_fraction": 0.2}},
+    "out_dir": "run",
+}
 
 
 @pytest.fixture(scope="module")
@@ -122,3 +133,16 @@ def test_mutated_lineage_never_escapes(inputs, mutations):
     lineage.write_bytes(_mutate(LINEAGE.encode(), mutations))
     _assert_clean_exit(["report", "--lineage", str(lineage), "--svg-out", str(inputs / "charts")],
                        (0, 2))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(mutations=MUTATIONS)
+def test_mutated_config_loads_or_is_config_error(inputs, mutations):
+    # the loader alone: evolve would build whatever size a mutation asked for
+    config = inputs / "mutated-config.json"
+    config.write_bytes(_mutate(json.dumps(CONFIG, indent=1).encode(), mutations))
+    try:
+        loaded = load_run_config(str(config))
+    except ConfigError:
+        return
+    assert isinstance(loaded, RunConfig)

@@ -491,8 +491,8 @@ def stored_lineages():
     for shape, widths in (("small", [16, 64, 32, 2]), ("wide", [256, 128, 64, 2])):
         stored = {}
 
-        def capture(net, policy):
-            stored[net.generation] = quantize_network(net, policy)
+        def capture(net):
+            stored[net.generation] = quantize_network(net)
             return stored[net.generation]
 
         with pytest.MonkeyPatch.context() as mp:

@@ -291,19 +291,13 @@ def cmd_quantize(args) -> int:
         raise IntegrityError(f"{args.model}: expected a binary32 model, found {meta.precision}")
     policy = PrecisionPolicy(overflow=TO_INFINITY if args.overflow == "inf" else SATURATE)
     quantized = quantize_network(net, policy)
-    max_abs = 0.0
-    max_rel = 0.0
-    for before, after in zip(net.layers, quantized.layers):
-        active = before.mask != 0
-        if not active.any():
-            continue
-        orig = before.weights[active].astype(np.float64)
-        quant = after.weights[active].astype(np.float64)
-        err = np.abs(quant - orig)
-        max_abs = max(max_abs, float(err.max()))
-        nonzero = orig != 0
-        if nonzero.any():
-            max_rel = max(max_rel, float((err[nonzero] / np.abs(orig[nonzero])).max()))
+    active = [l.mask != 0 for l in net.layers]
+    orig = np.concatenate([l.weights[m] for l, m in zip(net.layers, active)]).astype(np.float64)
+    quant = np.concatenate([l.weights[m] for l, m in zip(quantized.layers, active)])
+    err = np.abs(quant - orig)
+    nonzero = orig != 0
+    max_abs = float(err.max(initial=0.0))
+    max_rel = float((err[nonzero] / np.abs(orig[nonzero])).max(initial=0.0))
     save_model(quantized, args.out, seed=meta.seed, alpha_history=meta.alpha_history)
     print(json.dumps({"max_abs_error": max_abs, "max_rel_error": max_rel}))
     return 0

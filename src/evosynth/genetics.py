@@ -106,8 +106,7 @@ def synthesize_offspring(dna: SynapticProbabilityModel, env: EnvironmentalFactor
         offset += q.size
         s = (u < q).astype(np.uint8)
         dead = (s.sum(axis=1) == 0) & (q.max(axis=1) > 0.0)
-        for row in np.nonzero(dead)[0]:
-            s[row, np.argmax(q[row])] = 1
+        s[dead, q[dead].argmax(axis=1)] = 1
         masks.append(s)
     return SynapseMask(layers=masks)
 

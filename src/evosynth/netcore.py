@@ -15,7 +15,10 @@ path to an output gets exactly +-0 gradients in the dense computation, so
 its parameters never move, and ``train`` leaves it out of every batch.
 The one bit such a neuron loses to SGD is a negative zero: the dense step
 adds a +0.0 velocity, and -0.0 + +0.0 is +0.0. So when the best epoch is
-not the starting state, dead parameters come back as ``x + 0.0``.
+not the starting state, dead parameters come back as ``x + 0.0``. Every
+live weight block is stored C-contiguous, the layout of a whole layer, so
+the float64 loss curves differ from the dense loop's only where BLAS sums
+fewer zero terms.
 
 Inference runs the same sub-network. The first ``forward``,
 ``forward_batch`` or ``mean_loss`` call on a network prepares its plan
@@ -274,26 +277,22 @@ def _live_rows(masks: Sequence[np.ndarray]) -> list[np.ndarray]:
 def _live_params(layers: Sequence[DenseLayer]):
     """The backward-live sub-network (``_live_rows``) as float64 blocks.
 
-    Returns ``(ws, bs, acts, masks, live)``: per layer the masked weights
-    and the mask restricted to the live rows and to the columns of the
-    previous layer's live rows (every input column and every output row
-    is kept), the live biases, the activation and the live rows. A layer
-    whose rows are all live is taken whole; the others are gathered by
-    boolean slicing.
+    Returns ``(ws, bs, acts, masks, blocks)``: per layer the masked
+    weights and the mask restricted to the live rows and to the columns
+    of the previous layer's live rows (every input column and every
+    output row is kept), the live biases, the activation and the
+    ``(rows, cols)`` boolean selectors. Weight blocks are C-contiguous
+    (see the module docstring); ``w[:, cols]`` alone would be F-ordered.
     """
     live = _live_rows([l.mask for l in layers])
-    keep = [None if rows.all() else rows for rows in live]
+    blocks = list(zip(live, [np.ones(layers[0].weights.shape[1], dtype=bool)] + live[:-1]))
     ws, bs, masks = [], [], []
-    for layer, rows, cols in zip(layers, keep, [None] + keep[:-1]):
-        w, m, b = layer.weights, layer.mask, layer.bias
-        if rows is not None:
-            w, m, b = w[rows], m[rows], b[rows]
-        if cols is not None:
-            w, m = w[:, cols], m[:, cols]
-        ws.append(_masked(w, m).astype(np.float64))
-        bs.append(b.astype(np.float64))
+    for layer, (rows, cols) in zip(layers, blocks):
+        m = layer.mask[rows][:, cols]
+        ws.append(np.ascontiguousarray(_masked(layer.weights[rows][:, cols], m), dtype=np.float64))
+        bs.append(layer.bias[rows].astype(np.float64))
         masks.append(m)
-    return ws, bs, [l.activation for l in layers], masks, live
+    return ws, bs, [l.activation for l in layers], masks, blocks
 
 
 def _plan(net: Network):
@@ -327,25 +326,32 @@ def _probabilities(plan, x: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _check_labels(net: Network, labels: np.ndarray):
-    if np.any(labels < 0) or np.any(labels >= net.n_classes):
-        raise InvalidLabel(f"labels must be in [0, {net.n_classes})")
-
-
 def _check_finite(net: Network):
     for i, layer in enumerate(net.layers):
         if not (np.all(np.isfinite(layer.weights)) and np.all(np.isfinite(layer.bias))):
             raise NumericFailure(f"non-finite parameter in layer {i}")
 
 
-def _check_batch(net: Network, inputs: np.ndarray, labels: np.ndarray):
-    if inputs.ndim != 2 or inputs.shape[1] != net.in_dim:
-        raise ShapeMismatch(
-            f"batch features must be [n, {net.in_dim}], got {inputs.shape}"
-        )
-    if len(labels) != len(inputs) or len(inputs) == 0:
+def _batch(net: Network, inputs, labels=None):
+    """``(x, y)``: float64 features for ``net`` and, unless ``labels`` is
+    None, their int64 labels, which must make a non-empty batch."""
+    x = np.asarray(inputs, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != net.in_dim:
+        raise ShapeMismatch(f"batch features must be [n, {net.in_dim}], got {x.shape}")
+    if labels is None:
+        return x, None
+    y = np.asarray(labels, dtype=np.int64)
+    if len(y) != len(x) or len(x) == 0:
         raise ShapeMismatch("batch is empty or labels do not match inputs")
-    _check_labels(net, labels)
+    if np.any(y < 0) or np.any(y >= net.n_classes):
+        raise InvalidLabel(f"labels must be in [0, {net.n_classes})")
+    return x, y
+
+
+def _loss(ws, bs, acts, x, y) -> float:
+    """Mean cross-entropy of the labels ``y`` of ``x`` under float64 parameters."""
+    _, logits = _forward_core(ws, bs, acts, x)
+    return _nll(_log_softmax(logits), y)
 
 
 def forward(net: Network, input: Sequence[float]) -> np.ndarray:
@@ -361,20 +367,14 @@ def forward_batch(net: Network, inputs: np.ndarray) -> np.ndarray:
 
     A NaN or infinite probability raises ``NumericFailure``.
     """
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != net.in_dim:
-        raise ShapeMismatch(f"batch features must be [n, {net.in_dim}], got {x.shape}")
+    x, _ = _batch(net, inputs)
     return _probabilities(_plan(net), x)
 
 
 def mean_loss(net: Network, batch_inputs: np.ndarray, batch_labels: np.ndarray) -> float:
     """Mean cross-entropy of the batch under the network's predictions."""
-    x = np.asarray(batch_inputs, dtype=np.float64)
-    y = np.asarray(batch_labels, dtype=np.int64)
-    _check_batch(net, x, y)
-    ws, bs, acts = _plan(net)
-    _, logits = _forward_core(ws, bs, acts, x)
-    return _nll(_log_softmax(logits), y)
+    x, y = _batch(net, batch_inputs, batch_labels)
+    return _loss(*_plan(net), x, y)
 
 
 def _backprop(ws, bs, acts, masks, x, y):
@@ -400,9 +400,7 @@ def gradients(net: Network, batch_inputs: np.ndarray, batch_labels: np.ndarray) 
 
     Entries at masked-off positions are exactly 0.0.
     """
-    x = np.asarray(batch_inputs, dtype=np.float64)
-    y = np.asarray(batch_labels, dtype=np.int64)
-    _check_batch(net, x, y)
+    x, y = _batch(net, batch_inputs, batch_labels)
     ws, bs, acts = _working_params(net)
     masks = [l.mask.astype(np.float64) for l in net.layers]
     w_grads, b_grads, loss = _backprop(ws, bs, acts, masks, x, y)
@@ -435,18 +433,14 @@ def train(net: Network, dataset: "Dataset", cfg: TrainConfig) -> tuple[Network, 
     dense computation, so dead parameters come back as the dense loop
     leaves them: unchanged, or as ``x + 0.0`` (which turns -0.0 into
     +0.0, as the dense SGD step does) when ``best_epoch > 0``. Live
-    values see the same operations minus zero terms, which BLAS may sum
-    in another order: the float64 loss curves can differ from the dense
-    ones by a few ulps, and tests/test_netcore.py checks the binary32
-    result against the dense loop bit for bit. A NaN or infinite parameter
+    values see the same operations minus zero terms: the float64 loss
+    curves can differ from the dense ones by a few ulps, and
+    tests/test_netcore.py checks the binary32 result against the dense
+    loop bit for bit. A NaN or infinite parameter
     anywhere in ``net`` raises ``NumericFailure`` before any work is done.
     """
     _check_finite(net)
-    x = np.asarray(dataset.features, dtype=np.float64)
-    y = np.asarray(dataset.labels, dtype=np.int64)
-    if x.ndim != 2 or x.shape[1] != net.in_dim:
-        raise ShapeMismatch(f"dataset features must be [n, {net.in_dim}], got {x.shape}")
-    _check_labels(net, y)
+    x, y = _batch(net, dataset.features, dataset.labels)
     if len(np.unique(y)) < 2:
         raise InvalidLabel("dataset must contain at least 2 represented classes")
 
@@ -458,17 +452,13 @@ def train(net: Network, dataset: "Dataset", cfg: TrainConfig) -> tuple[Network, 
         )
     x_val, y_val = x[val_idx], y[val_idx]
 
-    ws, bs, acts, masks, live = _live_params(net.layers)
+    ws, bs, acts, masks, blocks = _live_params(net.layers)
     masks = [m.astype(np.float64) for m in masks]
     vel_w = [np.zeros_like(w) for w in ws]
     vel_b = [np.zeros_like(b) for b in bs]
 
-    def val_loss_of(cur_ws, cur_bs) -> float:
-        _, logits = _forward_core(cur_ws, cur_bs, acts, x_val)
-        return _nll(_log_softmax(logits), y_val)
-
     log = TrainingLog(train_indices=train_idx, val_indices=val_idx)
-    best_val = val_loss_of(ws, bs)
+    best_val = _loss(ws, bs, acts, x_val, y_val)
     best_ws = [w.copy() for w in ws]
     best_bs = [b.copy() for b in bs]
     epochs_since_best = 0
@@ -494,7 +484,7 @@ def train(net: Network, dataset: "Dataset", cfg: TrainConfig) -> tuple[Network, 
         for w in ws:
             if not np.all(np.isfinite(w)):
                 raise NumericFailure(f"non-finite weight at epoch {epoch}")
-        epoch_val = val_loss_of(ws, bs)
+        epoch_val = _loss(ws, bs, acts, x_val, y_val)
         if not np.isfinite(epoch_val):
             raise NumericFailure(f"non-finite validation loss at epoch {epoch}")
         log.train_losses.append(loss_sum / len(shuffled))
@@ -512,15 +502,14 @@ def train(net: Network, dataset: "Dataset", cfg: TrainConfig) -> tuple[Network, 
                 break
 
     layers = []
-    for i, layer in enumerate(net.layers):
+    for layer, (rows, cols), w, m, b in zip(net.layers, blocks, best_ws, masks, best_bs):
         weights = _masked(layer.weights, layer.mask)
         bias = layer.bias.copy()
         if log.best_epoch > 0:  # the dense step's +0.0 velocity: -0.0 -> +0.0
             weights += np.float32(0.0)
             bias += np.float32(0.0)
-        cols = live[i - 1] if i else np.ones(net.in_dim, dtype=bool)
-        weights[np.ix_(live[i], cols)] = _masked(best_ws[i], masks[i]).astype(np.float32)
-        bias[live[i]] = best_bs[i].astype(np.float32)
+        weights[np.ix_(rows, cols)] = _masked(w, m).astype(np.float32)
+        bias[rows] = b.astype(np.float32)
         layers.append(DenseLayer(weights=weights, mask=layer.mask.copy(), bias=bias,
                                  activation=layer.activation))
     return Network(layers=layers, generation=net.generation, precision_tag=FULL), log
@@ -555,31 +544,25 @@ def evaluate_classifier(net: Network, features: np.ndarray, labels: np.ndarray) 
     ratios (0/0) are reported as 0. The macro f1 is the harmonic mean of
     macro precision and macro recall.
     """
-    x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    _check_batch(net, x, y)
+    x, y = _batch(net, features, labels)
     preds = forward_batch(net, x).argmax(axis=1)
     c = net.n_classes
-    confusion = np.zeros((c, c), dtype=np.int64)
-    np.add.at(confusion, (y, preds), 1)
-    precision, recall, f1 = [], [], []
-    for k in range(c):
-        tp = confusion[k, k]
-        predicted = confusion[:, k].sum()
-        actual = confusion[k, :].sum()
-        p = float(tp / predicted) if predicted > 0 else 0.0
-        r = float(tp / actual) if actual > 0 else 0.0
-        precision.append(p)
-        recall.append(r)
-        f1.append(2.0 * p * r / (p + r) if p + r > 0 else 0.0)
+    confusion = np.bincount(y * c + preds, minlength=c * c).reshape(c, c)
+
+    def ratio(num, den):  # 0/0 is 0
+        return np.divide(num, den, out=np.zeros(c), where=den > 0)
+
+    tp = confusion.diagonal()
+    precision, recall = ratio(tp, confusion.sum(axis=0)), ratio(tp, confusion.sum(axis=1))
+    f1 = ratio(2.0 * precision * recall, precision + recall)
     macro_p = float(np.mean(precision))
     macro_r = float(np.mean(recall))
     return {
         "accuracy": float((preds == y).mean()),
         "confusion": confusion.tolist(),
-        "precision": precision,
-        "recall": recall,
-        "f1": f1,
+        "precision": precision.tolist(),
+        "recall": recall.tolist(),
+        "f1": f1.tolist(),
         "macro_precision": macro_p,
         "macro_recall": macro_r,
         "macro_f1": 2.0 * macro_p * macro_r / (macro_p + macro_r) if macro_p + macro_r > 0 else 0.0,

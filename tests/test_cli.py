@@ -360,6 +360,17 @@ def test_quantize_reports_errors_and_preserves_meta(tmp_path, capsys):
     assert (meta.seed, meta.alpha_history) == (11, [1.0])
 
 
+@pytest.mark.parametrize("mask, values", [(0, [[0.1, -0.3]]), (1, [[0.0, 0.0]])],
+                         ids=["no-active-weight", "only-zero-weights"])
+def test_quantize_reports_zero_error_without_nonzero_active_weights(tmp_path, capsys, mask, values):
+    net = Network([DenseLayer(np.where(mask, np.float32(values), 0).astype(np.float32),
+                              np.full((1, 2), mask, dtype=np.uint8), np.zeros(1, np.float32))])
+    src = str(tmp_path / "full.json")
+    save_model(net, src)
+    assert run(["quantize", "--model", src, "--out", str(tmp_path / "half.json")]) == 0
+    assert json.loads(capsys.readouterr().out) == {"max_abs_error": 0.0, "max_rel_error": 0.0}
+
+
 def test_quantize_overflow_policies(tmp_path, capsys):
     src = _full_model(tmp_path, [[70000.0, 1.0]])
     sat = str(tmp_path / "sat.json")

@@ -2,7 +2,8 @@
 
 A table feeds bytes that are not UTF-8 and JSON nested too deeply to
 parse to each reader in each role; a Hypothesis property mutates the
-bytes of valid model files, lineage CSVs and run configs at random.
+bytes of valid model files, lineage CSVs, run configs and data-source
+documents at random.
 """
 
 import contextlib
@@ -12,8 +13,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evosynth.cli import RunConfig, load_run_config, run
-from evosynth.dataio import LINEAGE_HEADER, save_model
+from evosynth.cli import RunConfig, _SOURCES, _dataset_source, load_run_config, run
+from evosynth.dataio import LINEAGE_HEADER, read_json, save_model
 from evosynth.errors import ConfigError
 from evosynth.halfprec import quantize_network
 from evosynth.netcore import LayerSpec, init_network
@@ -146,3 +147,21 @@ def test_mutated_config_loads_or_is_config_error(inputs, mutations):
     except ConfigError:
         return
     assert isinstance(loaded, RunConfig)
+
+
+DATA_SOURCES = [SOURCE, {"type": "csv", "path": "data.csv"},
+                {"type": "idx", "images": "img.idx", "labels": "lab.idx", "limit": 100}]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(base=st.sampled_from(DATA_SOURCES), mutations=MUTATIONS)
+def test_mutated_data_source_loads_or_is_config_error(inputs, base, mutations):
+    # the checker alone: build_dataset would allocate whatever size a mutation asked for
+    path = inputs / "mutated-source.json"
+    path.write_bytes(_mutate(json.dumps(base, indent=1).encode(), mutations))
+    try:
+        source = _dataset_source(read_json(str(path), ConfigError, ConfigError, "data source "),
+                                 f"data source {path}")
+    except ConfigError:
+        return
+    assert source["type"] in _SOURCES

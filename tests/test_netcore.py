@@ -1,13 +1,14 @@
 """Network construction, forward/backward math and the training loop."""
 
 import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
 from evosynth import evolution, netcore
-from evosynth.dataio import synth_gaussians
+from evosynth.dataio import Dataset, synth_gaussians
 from evosynth.errors import (
     DatasetTooSmall,
     InvalidLabel,
@@ -412,6 +413,29 @@ def lineage_children():
     return ds, calls
 
 
+# sha256 over the binary32 weights and biases, best_epoch and epoch count
+# that train returns on every child (generation >= 2) of the
+# lineage_children fixture (OpenBLAS 0.3, x86-64; the same with 1 or 2 BLAS
+# threads); the float64 loss curves are left out, since BLAS may sum a live
+# block's terms in another order than the dense path's
+SPARSE_TRAIN_ORACLE_SHA256 = "3bead8961a8d6c7bde4a64cbb46abeb66b1fb3eaad09b6a5bd94fe6e4950b847"
+
+
+def test_train_binary32_oracle_on_sparse_children(lineage_children):
+    ds, calls = lineage_children
+    children = sorted(g for g in calls if g >= 2)
+    assert len(children) >= 3, "too few children: the case tests little"
+    digest = hashlib.sha256()
+    for g in children:
+        net, cfg = calls[g]
+        trained, log = train(net, ds, cfg)
+        for layer in trained.layers:
+            digest.update(layer.weights.tobytes())
+            digest.update(layer.bias.tobytes())
+        digest.update(np.array([log.best_epoch, len(log.val_losses)], dtype=np.int64).tobytes())
+    assert digest.hexdigest() == SPARSE_TRAIN_ORACLE_SHA256
+
+
 @pytest.mark.parametrize("generation", [4, 7, 13])
 def test_train_matches_dense_loop_on_lineage(lineage_children, generation):
     ds, calls = lineage_children
@@ -469,6 +493,13 @@ def test_live_counts_match_brute_force_reachability():
 # sub-network, and must give the dense path's float32 probabilities bit for bit
 
 
+def _assert_c_ordered_blocks(net):
+    """Every float64 weight block of the live sub-network has the dense layout."""
+    for ws in (netcore._live_params(net.layers)[0], netcore._plan(net)[0]):
+        for i, w in enumerate(ws):
+            assert w.dtype == np.float64 and w.flags.c_contiguous, f"layer {i}"
+
+
 def _dense_probabilities(net, x):
     """The dense inference path forward_batch used before it had a plan."""
     ws, bs, acts = _working_params(net)
@@ -516,6 +547,7 @@ def test_plan_matches_dense_path_on_lineage(stored_lineages, shape, generation):
     planned = [w.shape for w in netcore._plan(net)[0]]
     assert planned == [(int(r.sum()), w.shape[1] if i == 0 else int(live[i - 1].sum()))
                        for i, (r, w) in enumerate(zip(live, (l.weights for l in net.layers)))]
+    _assert_c_ordered_blocks(net)
 
 
 @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
@@ -523,6 +555,7 @@ def test_plan_matches_dense_path_with_dead_neurons(activation):
     net = _dead_neuron_net(activation)
     x = np.random.default_rng(5).normal(scale=2.0, size=(64, 4))
     _assert_plan_matches_dense(net, x, activation)
+    _assert_c_ordered_blocks(net)
     ws, bs, acts = _working_params(net)
     _, logits = _forward_core(ws, bs, acts, x)
     y = np.arange(64) % 2
@@ -787,7 +820,60 @@ def test_evaluate_single_class_predictor():
     assert abs(report["precision"][0] - 0.5) < 1e-12
 
 
-@pytest.mark.parametrize("n_rows, n_labels", [(5, 3), (0, 0)], ids=["5-rows-3-labels", "empty"])
-def test_evaluate_rejects_mismatched_or_empty_batch(n_rows, n_labels):
+def _evaluate_reference(net, x, y):
+    """evaluate_classifier as a per-class Python loop over np.add.at counts."""
+    preds = forward_batch(net, x).argmax(axis=1)
+    c = net.n_classes
+    confusion = np.zeros((c, c), dtype=np.int64)
+    np.add.at(confusion, (y, preds), 1)
+    precision, recall, f1 = [], [], []
+    for k in range(c):
+        tp = confusion[k, k]
+        predicted = confusion[:, k].sum()
+        actual = confusion[k, :].sum()
+        p = float(tp / predicted) if predicted > 0 else 0.0
+        r = float(tp / actual) if actual > 0 else 0.0
+        precision.append(p)
+        recall.append(r)
+        f1.append(2.0 * p * r / (p + r) if p + r > 0 else 0.0)
+    macro_p = float(np.mean(precision))
+    macro_r = float(np.mean(recall))
+    return {
+        "accuracy": float((preds == y).mean()),
+        "confusion": confusion.tolist(),
+        "precision": precision,
+        "recall": recall,
+        "f1": f1,
+        "macro_precision": macro_p,
+        "macro_recall": macro_r,
+        "macro_f1": 2.0 * macro_p * macro_r / (macro_p + macro_r) if macro_p + macro_r > 0 else 0.0,
+    }
+
+
+def test_evaluate_matches_per_class_loop():
+    rng = np.random.default_rng(14)
+    never_predicted = never_present = 0
+    for k in range(300):
+        c = int(rng.integers(2, 7))
+        net = _random_masked_net(rng, [int(rng.integers(1, 6)), int(rng.integers(1, 6)), c],
+                                 rng.choice([0.3, 0.7, 1.0]))
+        n = int(rng.integers(1, 40))
+        x = rng.normal(scale=3.0, size=(n, net.in_dim))
+        y = rng.integers(0, int(rng.integers(1, c + 1)), size=n)
+        want = _evaluate_reference(net, x, y)
+        assert json.dumps(evaluate_classifier(net, x, y)) == json.dumps(want), f"case {k}"
+        confusion = np.array(want["confusion"])
+        never_predicted += int((confusion.sum(axis=0) == 0).any())
+        never_present += int((confusion.sum(axis=1) == 0).any())
+    assert never_predicted > 50 and never_present > 50
+
+
+@pytest.mark.parametrize("call, n_rows, n_labels", [
+    (lambda x, y: evaluate_classifier(_argmax_net(), x, y), 5, 3),
+    (lambda x, y: evaluate_classifier(_argmax_net(), x, y), 0, 0),
+    (lambda x, y: train(_argmax_net(), Dataset(x, y, 2), TrainConfig(max_epochs=1)), 200, 150),
+    (lambda x, y: train(_argmax_net(), Dataset(x, y, 2), TrainConfig(max_epochs=1)), 150, 200),
+], ids=["5-rows-3-labels", "empty", "train-200-rows-150-labels", "train-150-rows-200-labels"])
+def test_evaluate_rejects_mismatched_or_empty_batch(call, n_rows, n_labels):
     with pytest.raises(ShapeMismatch):
-        evaluate_classifier(_argmax_net(), np.ones((n_rows, 2)), np.zeros(n_labels, dtype=np.int64))
+        call(np.ones((n_rows, 2)), np.arange(n_labels) % 2)

@@ -48,7 +48,7 @@ from .netcore import (
 # configuration parsing (strict: unknown keys are errors). Only JSON types
 # are checked here; ranges are checked by the dataclasses and loaders.
 
-_KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
+_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "a boolean", str: "a string",
                list: "a list", dict: "an object", type(None): "null"}
 
 # per-run training seeds are derived from the master seed, never configured
@@ -63,8 +63,8 @@ def _is_a(value, kind) -> bool:
         return value is None
     if isinstance(value, bool):
         return kind is bool
-    if kind is float:
-        return isinstance(value, (int, float))
+    if kind is float:  # finite: 1e999 parses as infinity, and 10**400 has no binary64 value
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     return isinstance(value, kind)
 
 

@@ -20,6 +20,17 @@ live weight block is stored C-contiguous, the layout of a whole layer, so
 the float64 loss curves differ from the dense loop's only where BLAS sums
 fewer zero terms.
 
+The SGD loop is shaped to make few numpy calls per batch, each one the
+same IEEE operation, in the same order, as the plain spelling kept in
+tests/test_netcore.py. The live parameters, their velocities and their
+gradients each live in one flat float64 buffer with a C-contiguous view
+per layer, so the momentum step is three calls over all of them.
+``_backprop`` writes gradients into those views and subtracts one-hot label
+rows (the other entries subtract 0.0, which is exact); a layer whose live
+mask is all ones skips the multiply by its mask (x * 1.0 = x). Each epoch
+gathers its shuffled rows, labels and one-hot rows once, and each batch
+takes slices of them.
+
 Inference runs the same sub-network. The first ``forward``,
 ``forward_batch`` or ``mean_loss`` call on a network prepares its plan
 once (``_plan``): the float64 live blocks, kept on the network while
@@ -217,12 +228,6 @@ def _apply_activation(z: np.ndarray, kind: str) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-z))
 
 
-def _activation_grad(a: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return (a > 0.0).astype(np.float64)
-    return a * (1.0 - a)
-
-
 def _forward_core(ws, bs, acts, x):
     """Returns (per-layer post-activations incl. input, logits)."""
     a = x
@@ -238,14 +243,18 @@ def _forward_core(ws, bs, acts, x):
     return activations, logits
 
 
+# the ufunc reductions behind ndarray.max, .sum and .mean, called directly:
+# the same reductions and the same true_divide, without numpy's Python wrappers
+
+
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    z = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    return z - np.log(np.add.reduce(np.exp(z), axis=1, keepdims=True))
 
 
 def _nll(logp: np.ndarray, y: np.ndarray) -> float:
     """Mean negative log-likelihood of the labels under log-probabilities."""
-    return float(-logp[np.arange(len(y)), y].mean())
+    return float(-(np.add.reduce(logp[np.arange(len(y)), y]) / len(y)))
 
 
 def _masked(weights: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -377,22 +386,34 @@ def mean_loss(net: Network, batch_inputs: np.ndarray, batch_labels: np.ndarray) 
     return _loss(*_plan(net), x, y)
 
 
-def _backprop(ws, bs, acts, masks, x, y):
-    n = len(y)
+def _grad_masks(masks: Sequence[np.ndarray]) -> list:
+    """``_backprop``'s masks: float64, or None where a mask is all ones (x * 1.0 = x)."""
+    return [None if m.all() else m.astype(np.float64) for m in masks]
+
+
+def _backprop(ws, bs, acts, masks, x, y, onehot, w_grads, b_grads) -> float:
+    """Mean cross-entropy of the labels ``y`` of ``x``, returned, and its
+    gradients, written into the C-contiguous ``w_grads`` and ``b_grads``.
+
+    ``onehot`` holds ``y`` as float64 one-hot rows; ``masks`` come from
+    ``_grad_masks``.
+    """
     activations, logits = _forward_core(ws, bs, acts, x)
     logp = _log_softmax(logits)
     loss = _nll(logp, y)
-    dz = np.exp(logp)
-    dz[np.arange(n), y] -= 1.0
-    dz /= n
-    w_grads = [None] * len(ws)
-    b_grads = [None] * len(ws)
+    dz = np.exp(logp, out=logp)
+    dz -= onehot  # exact: every other entry subtracts 0.0
+    dz /= len(y)
     for i in range(len(ws) - 1, -1, -1):
-        w_grads[i] = (dz.T @ activations[i]) * masks[i]
-        b_grads[i] = dz.sum(axis=0)
+        np.matmul(dz.T, activations[i], out=w_grads[i])
+        if masks[i] is not None:
+            w_grads[i] *= masks[i]
+        np.add.reduce(dz, axis=0, out=b_grads[i])
         if i > 0:
-            dz = (dz @ ws[i]) * _activation_grad(activations[i], acts[i - 1])
-    return w_grads, b_grads, loss
+            a = activations[i]
+            dz = dz @ ws[i]
+            dz *= a > 0.0 if acts[i - 1] == "relu" else a * (1.0 - a)
+    return loss
 
 
 def gradients(net: Network, batch_inputs: np.ndarray, batch_labels: np.ndarray) -> Gradients:
@@ -402,9 +423,21 @@ def gradients(net: Network, batch_inputs: np.ndarray, batch_labels: np.ndarray) 
     """
     x, y = _batch(net, batch_inputs, batch_labels)
     ws, bs, acts = _working_params(net)
-    masks = [l.mask.astype(np.float64) for l in net.layers]
-    w_grads, b_grads, loss = _backprop(ws, bs, acts, masks, x, y)
+    w_grads = [np.empty_like(w) for w in ws]
+    b_grads = [np.empty_like(b) for b in bs]
+    loss = _backprop(ws, bs, acts, _grad_masks([l.mask for l in net.layers]), x, y,
+                     np.eye(net.n_classes)[y], w_grads, b_grads)
     return Gradients(weights=w_grads, biases=b_grads, loss=loss)
+
+
+def _layer_views(flat: np.ndarray, ws, bs):
+    """``(ws, bs)`` shaped views of consecutive runs of ``flat``, C-contiguous:
+    every weight block in turn, then every bias."""
+    views, offset = [], 0
+    for a in (*ws, *bs):
+        views.append(flat[offset:offset + a.size].reshape(a.shape))
+        offset += a.size
+    return views[:len(ws)], views[len(ws):]
 
 
 def validation_split(n_samples: int, fraction: float, seed: int):
@@ -438,6 +471,14 @@ def train(net: Network, dataset: "Dataset", cfg: TrainConfig) -> tuple[Network, 
     tests/test_netcore.py checks the binary32 result against the dense
     loop bit for bit. A NaN or infinite parameter
     anywhere in ``net`` raises ``NumericFailure`` before any work is done.
+
+    The live parameters, velocities and gradients are one flat buffer each,
+    with a C-contiguous view per layer: the momentum step is three calls
+    over all of them and the best epoch is kept with one copy. Epoch ``e``
+    gathers its shuffled rows and one-hot labels once, and each batch is a
+    slice of them; a layer whose live mask is all ones skips the mask
+    multiply. A non-finite weight is looked for once per epoch. ``net`` is
+    left as it is, and every returned array is a new one.
     """
     _check_finite(net)
     x, y = _batch(net, dataset.features, dataset.labels)
@@ -453,37 +494,40 @@ def train(net: Network, dataset: "Dataset", cfg: TrainConfig) -> tuple[Network, 
     x_val, y_val = x[val_idx], y[val_idx]
 
     ws, bs, acts, masks, blocks = _live_params(net.layers)
-    masks = [m.astype(np.float64) for m in masks]
-    vel_w = [np.zeros_like(w) for w in ws]
-    vel_b = [np.zeros_like(b) for b in bs]
+    # weights, then biases, in one buffer each; ws and bs become views of params
+    n_weights = sum(w.size for w in ws)
+    params = np.concatenate([w.ravel() for w in ws] + bs)
+    grads, vel = np.empty_like(params), np.zeros_like(params)
+    ws, bs = _layer_views(params, ws, bs)
+    w_grads, b_grads = _layer_views(grads, ws, bs)
+    grad_masks = _grad_masks(masks)
+    onehot = np.eye(net.n_classes)
 
     log = TrainingLog(train_indices=train_idx, val_indices=val_idx)
     best_val = _loss(ws, bs, acts, x_val, y_val)
-    best_ws = [w.copy() for w in ws]
-    best_bs = [b.copy() for b in bs]
+    best = params.copy()
     epochs_since_best = 0
 
-    momentum, lr = cfg.momentum, cfg.learning_rate
+    momentum, lr, size = cfg.momentum, cfg.learning_rate, cfg.batch_size
     for epoch in range(1, cfg.max_epochs + 1):
-        order = permutation(len(train_idx), substream(cfg.seed, epoch))
-        shuffled = train_idx[order]
+        shuffled = train_idx[permutation(len(train_idx), substream(cfg.seed, epoch))]
+        x_ep, y_ep = x[shuffled], y[shuffled]
+        hot_ep = onehot[y_ep]
         loss_sum = 0.0
-        for start in range(0, len(shuffled), cfg.batch_size):
-            idx = shuffled[start:start + cfg.batch_size]
-            w_grads, b_grads, loss = _backprop(ws, bs, acts, masks, x[idx], y[idx])
+        for start in range(0, len(shuffled), size):
+            y_b = y_ep[start:start + size]
+            loss = _backprop(ws, bs, acts, grad_masks, x_ep[start:start + size], y_b,
+                             hot_ep[start:start + size], w_grads, b_grads)
             if not math.isfinite(loss):
                 raise NumericFailure(f"non-finite training loss at epoch {epoch}")
-            loss_sum += loss * len(idx)
-            # v <- momentum * v - lr * g, in place; the gradients are fresh
-            # arrays, so lr * g overwrites them
-            for params, vels, grads in ((ws, vel_w, w_grads), (bs, vel_b, b_grads)):
-                for param, vel, grad in zip(params, vels, grads):
-                    vel *= momentum
-                    vel -= np.multiply(grad, lr, out=grad)
-                    param += vel
-        for w in ws:
-            if not np.all(np.isfinite(w)):
-                raise NumericFailure(f"non-finite weight at epoch {epoch}")
+            loss_sum += loss * len(y_b)
+            # v <- momentum * v - lr * g over every parameter at once; lr * g
+            # overwrites the gradients, which the next batch rewrites
+            vel *= momentum
+            vel -= np.multiply(grads, lr, out=grads)
+            params += vel
+        if not np.isfinite(params[:n_weights]).all():
+            raise NumericFailure(f"non-finite weight at epoch {epoch}")
         epoch_val = _loss(ws, bs, acts, x_val, y_val)
         if not np.isfinite(epoch_val):
             raise NumericFailure(f"non-finite validation loss at epoch {epoch}")
@@ -491,8 +535,7 @@ def train(net: Network, dataset: "Dataset", cfg: TrainConfig) -> tuple[Network, 
         log.val_losses.append(epoch_val)
         if epoch_val < best_val:
             best_val = epoch_val
-            best_ws = [w.copy() for w in ws]
-            best_bs = [b.copy() for b in bs]
+            np.copyto(best, params)
             log.best_epoch = epoch
             epochs_since_best = 0
         else:
@@ -502,6 +545,7 @@ def train(net: Network, dataset: "Dataset", cfg: TrainConfig) -> tuple[Network, 
                 break
 
     layers = []
+    best_ws, best_bs = _layer_views(best, ws, bs)
     for layer, (rows, cols), w, m, b in zip(net.layers, blocks, best_ws, masks, best_bs):
         weights = _masked(layer.weights, layer.mask)
         bias = layer.bias.copy()

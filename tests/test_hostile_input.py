@@ -1,14 +1,17 @@
 """Hostile input files: every reader exits 1 or 2 with one error line, never a traceback.
 
 A table feeds bytes that are not UTF-8 and JSON nested too deeply to
-parse to each reader in each role; a Hypothesis property mutates the
+parse to each reader in each role; Hypothesis properties mutate the
 bytes of valid model files, lineage CSVs, run configs and data-source
-documents at random.
+documents at random, and the parsed values of run configs and data-source
+documents, so that most mutated documents reach the checkers.
 """
 
 import contextlib
 import io
 import json
+import math
+from dataclasses import is_dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -165,3 +168,108 @@ def test_mutated_data_source_loads_or_is_config_error(inputs, base, mutations):
     except ConfigError:
         return
     assert source["type"] in _SOURCES
+
+
+# random value mutations of parsed documents: the bytes stay valid JSON, so
+# every example reaches the checker
+
+# written as the bare number literals they name; 1e999 parses as infinity
+LITERALS = {"@1e999": "1e999", "@-1e999": "-1e999", "@NaN": "NaN"}
+VALUES = st.one_of(
+    st.sampled_from([None, True, False, "", "relu", "synthetic", [], {}, [1, 2], {"type": "csv"},
+                     0, -1, 1, 2**63, 2**64, -(2**63), 10**400, 1e308, -1e308, 5e-324, -0.0,
+                     *LITERALS]),
+    st.integers(), st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=4))
+VALUE_MUTATIONS = st.lists(st.tuples(st.sampled_from(["replace", "drop", "add"]),
+                                     st.integers(min_value=0, max_value=2**16), VALUES),
+                           min_size=1, max_size=3)
+
+
+def _slots(doc):
+    """(container, key or index) of every value in ``doc``, depth first."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield doc, key
+        yield from _slots(value)
+
+
+def _mutate_values(doc, mutations) -> str:
+    """``doc`` after (kind, position, value) edits, as JSON text: "replace"
+    sets a slot to ``value``, "drop" removes a slot, "add" puts an unknown
+    key into an object."""
+    doc = json.loads(json.dumps(doc))
+    for kind, position, value in mutations:
+        slots = list(_slots(doc))
+        if kind == "add":
+            objects = [doc] + [c[k] for c, k in slots if isinstance(c[k], dict)]
+            objects[position % len(objects)][f"unknown_{position}"] = value
+        elif slots:
+            container, key = slots[position % len(slots)]
+            if kind == "drop":
+                del container[key]
+            else:
+                container[key] = value
+    text = json.dumps(doc)
+    for marker, literal in LITERALS.items():
+        text = text.replace(json.dumps(marker), literal)
+    return text
+
+
+# every number field of CONFIG
+FLOAT_FIELDS = [("evolution", "retention_per_generation"), ("evolution", "stop_on_metric_drop"),
+                ("evolution", "train", "learning_rate"), ("evolution", "train", "momentum"),
+                ("evolution", "train", "validation_fraction"), ("dataset", "separation")]
+
+
+@pytest.mark.parametrize("literal", ["@1e999", "@-1e999", 10**400], ids=["1e999", "-1e999", "10**400"])
+@pytest.mark.parametrize("path", FLOAT_FIELDS, ids=[p[-1] for p in FLOAT_FIELDS])
+def test_config_rejects_numbers_beyond_binary64(inputs, path, literal):
+    # these used to load: an infinite learning rate then failed in training
+    # with exit 3, and 10**400 with an OverflowError traceback
+    doc = json.loads(json.dumps(CONFIG))
+    container = doc
+    for key in path[:-1]:
+        container = container[key]
+    container[path[-1]] = literal
+    config = inputs / "infinite-config.json"
+    config.write_text(_mutate_values(doc, []))
+    with pytest.raises(ConfigError, match=f"{path[-1]} must be a finite number"):
+        load_run_config(str(config))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(mutations=VALUE_MUTATIONS)
+def test_value_mutated_config_loads_or_is_config_error(inputs, mutations):
+    config = inputs / "value-mutated-config.json"
+    config.write_text(_mutate_values(CONFIG, mutations))
+    try:
+        loaded = load_run_config(str(config))
+    except ConfigError:
+        return
+    assert isinstance(loaded, RunConfig)
+    assert all(math.isfinite(v) for v in _floats(loaded))
+
+
+def _floats(value):
+    """Every float in a loaded config: its dataclasses, dicts and lists, recursively."""
+    if is_dataclass(value):
+        value = vars(value)
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [f for v in value for f in _floats(v)]
+    return [value] if isinstance(value, float) else []
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(base=st.sampled_from(DATA_SOURCES), mutations=VALUE_MUTATIONS)
+def test_value_mutated_data_source_loads_or_is_config_error(inputs, base, mutations):
+    path = inputs / "value-mutated-source.json"
+    path.write_text(_mutate_values(base, mutations))
+    try:
+        source = _dataset_source(read_json(str(path), ConfigError, ConfigError, "data source "),
+                                 f"data source {path}")
+    except ConfigError:
+        return
+    assert source["type"] in _SOURCES
+    assert all(math.isfinite(v) for v in _floats(source))

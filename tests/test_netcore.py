@@ -25,6 +25,7 @@ from evosynth.netcore import (
     TrainingLog,
     _backprop,
     _forward_core,
+    _grad_masks,
     _live_rows,
     _log_softmax,
     _masked,
@@ -194,6 +195,15 @@ def test_gradients_loss_matches_mean_loss():
     assert abs(g.loss - mean_loss(net, x, y)) < 1e-12
 
 
+def test_gradients_calls_share_no_memory():
+    net = _dead_neuron_net("sigmoid")
+    rng = np.random.default_rng(5)
+    x, y = rng.normal(size=(7, 4)), rng.integers(0, 2, size=7)
+    arrays = [g for grads in (gradients(net, x, y), gradients(net, x, y))
+              for g in grads.weights + grads.biases]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
+
+
 def test_gradients_masked_positions_exactly_zero():
     net = init_network([LayerSpec(5, 4), LayerSpec(4, 3)], seed=9)
     rng = np.random.default_rng(11)
@@ -258,6 +268,86 @@ def test_train_binary32_oracle():
     assert digest.hexdigest() == TRAIN_ORACLE_SHA256
 
 
+# plain spellings of the kernels, kept as references: the dense loop below
+# and the dense inference path run on them, not on the kernels under test
+
+
+def _ref_log_softmax(logits):
+    z = logits - logits.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
+def _ref_nll(logp, y):
+    return float(-logp[np.arange(len(y)), y].mean())
+
+
+def _dense_backprop(ws, bs, acts, masks, x, y):
+    """``(w_grads, b_grads, loss)`` in fresh arrays; every mask is float64."""
+    n = len(y)
+    activations, logits = _forward_core(ws, bs, acts, x)
+    logp = _ref_log_softmax(logits)
+    loss = _ref_nll(logp, y)
+    dz = np.exp(logp)
+    dz[np.arange(n), y] -= 1.0
+    dz /= n
+    w_grads = [None] * len(ws)
+    b_grads = [None] * len(ws)
+    for i in range(len(ws) - 1, -1, -1):
+        w_grads[i] = (dz.T @ activations[i]) * masks[i]
+        b_grads[i] = dz.sum(axis=0)
+        if i > 0:
+            a = activations[i]
+            grad = (a > 0.0).astype(np.float64) if acts[i - 1] == "relu" else a * (1.0 - a)
+            dz = (dz @ ws[i]) * grad
+    return w_grads, b_grads, loss
+
+
+def test_log_softmax_and_nll_match_reference_spellings():
+    rng = np.random.default_rng(21)
+    for k in range(300):  # logits of 1-64 rows and 2-5 classes: plain, tied, or +-1e300
+        n, c = int(rng.integers(1, 65)), int(rng.integers(2, 6))
+        logits = rng.normal(scale=rng.choice([0.1, 3.0, 50.0]), size=(n, c))
+        if k % 3 == 1:
+            logits = np.round(logits)  # ties within rows
+        elif k % 3 == 2:
+            logits[rng.random((n, c)) < 0.3] = 1e300
+            logits[rng.random((n, c)) < 0.3] = -1e300
+        y = rng.integers(0, c, size=n)
+        logp = _log_softmax(logits)
+        assert logp.tobytes() == _ref_log_softmax(logits).tobytes(), f"case {k}"
+        assert np.float64(_nll(logp, y)).tobytes() == np.float64(_ref_nll(logp, y)).tobytes(), \
+            f"case {k}"
+
+
+def test_backprop_matches_reference_spelling():
+    rng = np.random.default_rng(22)
+    partial = whole = 0
+    for k in range(300):
+        n, c = int(rng.integers(1, 65)), int(rng.integers(2, 6))
+        widths = rng.integers(1, 9, size=rng.integers(1, 4)).tolist() + [c]
+        net = _random_masked_net(rng, widths, rng.choice([0.3, 0.7, 1.0]),
+                                 rng.choice(["relu", "sigmoid"]))
+        ws, bs, acts = _working_params(net)
+        if k % 4 == 3:  # output logits of +-1e300
+            bs[-1] = rng.choice([1e300, -1e300, 0.0], size=c)
+        masks = [l.mask for l in net.layers]
+        partial += sum(not m.all() for m in masks)
+        whole += sum(bool(m.all()) for m in masks)
+        x = rng.normal(scale=2.0, size=(n, widths[0]))
+        y = rng.integers(0, c, size=n)
+        w_grads = [np.empty_like(w) for w in ws]
+        b_grads = [np.empty_like(b) for b in bs]
+        with np.errstate(all="ignore"):
+            loss = _backprop(ws, bs, acts, _grad_masks(masks), x, y, np.eye(c)[y], w_grads, b_grads)
+            want_w, want_b, want_loss = _dense_backprop(
+                ws, bs, acts, [m.astype(np.float64) for m in masks], x, y)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes(), f"case {k}"
+        for i in range(len(ws)):
+            assert w_grads[i].tobytes() == want_w[i].tobytes(), f"case {k} layer {i} weights"
+            assert b_grads[i].tobytes() == want_b[i].tobytes(), f"case {k} layer {i} bias"
+    assert partial > 100 and whole > 100, "too few masks of one kind: the case tests little"
+
+
 # the sparse train oracle: train runs on the backward-live sub-network, and
 # must give the binary32 parameters of the dense loop below bit for bit
 
@@ -276,7 +366,7 @@ def _dense_train(net, dataset, cfg):
 
     def val_loss_of(cur_ws, cur_bs) -> float:
         _, logits = _forward_core(cur_ws, cur_bs, acts, x_val)
-        return _nll(_log_softmax(logits), y_val)
+        return _ref_nll(_ref_log_softmax(logits), y_val)
 
     log = TrainingLog()
     best_val = val_loss_of(ws, bs)
@@ -291,7 +381,7 @@ def _dense_train(net, dataset, cfg):
         loss_sum = 0.0
         for start in range(0, len(shuffled), cfg.batch_size):
             idx = shuffled[start:start + cfg.batch_size]
-            w_grads, b_grads, loss = _backprop(ws, bs, acts, masks, x[idx], y[idx])
+            w_grads, b_grads, loss = _dense_backprop(ws, bs, acts, masks, x[idx], y[idx])
             assert math.isfinite(loss)
             loss_sum += loss * len(idx)
             for params, vels, grads in ((ws, vel_w, w_grads), (bs, vel_b, b_grads)):
@@ -504,7 +594,7 @@ def _dense_probabilities(net, x):
     """The dense inference path forward_batch used before it had a plan."""
     ws, bs, acts = _working_params(net)
     _, logits = _forward_core(ws, bs, acts, np.asarray(x, dtype=np.float64))
-    return np.exp(_log_softmax(logits)).astype(np.float32)
+    return np.exp(_ref_log_softmax(logits)).astype(np.float32)
 
 
 def _assert_plan_matches_dense(net, x, label, single_rows=40):
@@ -635,6 +725,21 @@ def test_train_learns_separable_data():
     report = evaluate_classifier(trained, ds.features, ds.labels)
     assert report["accuracy"] >= 0.9
     assert log.best_epoch >= 1
+
+
+def test_train_returns_arrays_of_its_own_and_leaves_its_input_alone():
+    def arrays(network):
+        return [a for l in network.layers for a in (l.weights, l.mask, l.bias)]
+
+    net = _dead_neuron_net("relu")
+    before = [a.tobytes() for a in arrays(net)]
+    got, log = train(net, _toy_dataset(), TrainConfig(max_epochs=4, seed=7))
+    assert log.best_epoch > 0
+    assert [a.tobytes() for a in arrays(net)] == before
+    returned = arrays(got)
+    assert all(a.flags.owndata and a.flags.writeable for a in returned)
+    assert not any(np.shares_memory(a, b)
+                   for i, a in enumerate(returned) for b in returned[i + 1:] + arrays(net))
 
 
 def test_train_zero_epochs_returns_input_bits():

@@ -400,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CSV dataset path or JSON dataset-source document")
     p.add_argument("--split", choices=("val", "full"), default="val",
                    help="evaluate on the model's validation split (default) or the full dataset")
-    p.add_argument("--validation-fraction", type=float, default=0.2,
+    p.add_argument("--validation-fraction", type=float, default=TrainConfig.validation_fraction,
                    help="fraction used when deriving the validation split")
     p.set_defaults(func=cmd_metrics)
 

@@ -3,7 +3,9 @@
 Model files are JSON. The binary16 variant stores every weight and bias
 as the integer value of its half-precision bit pattern, so round-trips
 are bit-exact. The binary32 variant stores decimals with 9 significant
-digits, which is enough to reproduce any binary32 value exactly.
+digits, which is enough to reproduce any binary32 value exactly. In
+both, a masked-off weight is +0.0 (code 0x0000), and the loaders reject
+any other value there.
 
 `save_model` writes exactly the bytes of `json.dump(doc, fh, indent=1)`
 followed by a newline, built by joining strings (Python's indented
@@ -40,7 +42,7 @@ from .errors import (
     ParseError,
     TruncatedFile,
 )
-from .halfprec import decode_array, encode_array, PrecisionPolicy
+from .halfprec import decode_array, encode_array
 from .netcore import ACTIVATIONS, DenseLayer, FULL, HALF, Network
 from .rng import uniform_block
 
@@ -49,7 +51,24 @@ if TYPE_CHECKING:
 
 FORMAT_VERSION = 1
 
-LINEAGE_HEADER = "generation,alpha,active_synapses,total_synapses,macs,train_loss,precision,recall,f1,seed"
+# a model file's precision -> (Network.precision_tag, weights key, bias key)
+_VARIANTS = {"binary16": (HALF, "weights_f16", "bias_f16"),
+             "binary32": (FULL, "weights_f32", "bias_f32")}
+
+# lineage.csv columns: (header, GenerationRecord field, integer?)
+_LINEAGE_COLUMNS = (
+    ("generation", "generation", True),
+    ("alpha", "alpha_used", False),
+    ("active_synapses", "active_synapses", True),
+    ("total_synapses", "total_synapses", True),
+    ("macs", "macs", True),
+    ("train_loss", "train_loss", False),
+    ("precision", "precision_metric", False),
+    ("recall", "recall_metric", False),
+    ("f1", "f1", False),
+    ("seed", "seed", True),
+)
+LINEAGE_HEADER = ",".join(header for header, _, _ in _LINEAGE_COLUMNS)
 
 
 def read_text(path: str) -> str:
@@ -248,9 +267,15 @@ def synth_gaussians(n_per_class: int, n_features: int, separation: float,
 # model files
 
 
-def _f32_decimal_list(a: np.ndarray) -> list[float]:
+def _file_values(values: np.ndarray, precision: str, failure: str) -> list:
+    """`values` as a `precision` model file spells them; `NumericFailure(failure)`
+    for a non-finite binary32 value, which JSON cannot spell."""
+    if precision == "binary16":
+        return encode_array(values).ravel().tolist()
+    if not np.isfinite(values).all():
+        raise NumericFailure(failure)
     # 9 significant digits reproduce any binary32 value exactly
-    return [float(f"{float(v):.9g}") for v in a.reshape(-1)]
+    return [float(f"{float(v):.9g}") for v in values.reshape(-1)]
 
 
 def _indent1_json(value, indent: str = "") -> str:
@@ -284,33 +309,28 @@ def save_model(net: Network, path: str, seed: int = 0,
     lineage bookkeeping carried verbatim. Raises `NumericFailure` for a
     non-finite binary32 parameter or `alpha_history` entry.
     """
-    half = net.precision_tag == HALF
+    precision = "binary16" if net.precision_tag == HALF else "binary32"
+    _, weights_key, bias_key = _VARIANTS[precision]
     alphas = [float(a) for a in (alpha_history or [])]
     if not all(map(math.isfinite, alphas)):
         raise NumericFailure(f"cannot write {path}: alpha_history holds a non-finite value")
     doc = {
         "format_version": FORMAT_VERSION,
         "generation": net.generation,
-        "precision": "binary16" if half else "binary32",
+        "precision": precision,
         "activation": [l.activation for l in net.layers],
         "layers": [],
         "seed": int(seed),
         "alpha_history": alphas,
     }
-    policy = PrecisionPolicy()
     for i, layer in enumerate(net.layers):
         out_dim, in_dim = layer.weights.shape
-        entry = {"in_dim": in_dim, "out_dim": out_dim, "mask": layer.mask.ravel().tolist()}
-        if half:
-            entry["weights_f16"] = encode_array(layer.weights, policy).ravel().tolist()
-            entry["bias_f16"] = encode_array(layer.bias, policy).ravel().tolist()
-        else:
-            for name, values in (("weight", layer.weights), ("bias", layer.bias)):
-                if not np.all(np.isfinite(values)):
-                    raise NumericFailure(f"cannot write {path}: layer {i} has a non-finite {name}")
-            entry["weights_f32"] = _f32_decimal_list(layer.weights)
-            entry["bias_f32"] = _f32_decimal_list(layer.bias)
-        doc["layers"].append(entry)
+        failure = f"cannot write {path}: layer {i} has a non-finite"
+        doc["layers"].append({
+            "in_dim": in_dim, "out_dim": out_dim, "mask": layer.mask.ravel().tolist(),
+            weights_key: _file_values(layer.weights, precision, f"{failure} weight"),
+            bias_key: _file_values(layer.bias, precision, f"{failure} bias"),
+        })
     write_text(path, _indent1_json(doc) + "\n")
 
 
@@ -331,7 +351,7 @@ def _load_doc(path: str) -> dict:
         raise IntegrityError(f"{path}: top level must be a JSON object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
-        raise FormatVersionUnsupported(f"{path}: format_version {version!r}, supported: 1")
+        raise FormatVersionUnsupported(f"{path}: format_version {version!r}, supported: {FORMAT_VERSION}")
     return doc
 
 
@@ -352,8 +372,8 @@ def _finite_floats(values) -> list[float] | None:
 
 def _read_meta(doc: dict, path: str) -> ModelMeta:
     precision = doc.get("precision")
-    if precision not in ("binary16", "binary32"):
-        raise IntegrityError(f"{path}: precision must be binary16 or binary32, got {precision!r}")
+    if not (isinstance(precision, str) and precision in _VARIANTS):
+        raise IntegrityError(f"{path}: precision must be {' or '.join(_VARIANTS)}, got {precision!r}")
     generation = _require(doc, "generation", int, path)
     seed = _require(doc, "seed", int, path)
     alpha_history = _finite_floats(doc.get("alpha_history", []))
@@ -379,11 +399,18 @@ def _uint_array(values: list, top: int) -> np.ndarray | None:
     return a if a.size == 0 or (a.min() >= 0 and a.max() <= top) else None
 
 
-def _layer_values(entry: dict, key: str, n: int, where: str, as_bits: bool) -> np.ndarray:
+def _layer_values(entry: dict, key: str, n: int, where: str, kind: str) -> np.ndarray:
+    """The `n` values under `key`: a uint8 mask of 0s and 1s (`kind` "mask"),
+    or binary32 values read from binary16 codes or decimals (`kind` the precision)."""
     values = _require(entry, key, list, where)
     if len(values) != n:
         raise IntegrityError(f"{where}: {key} has {len(values)} values, expected {n}")
-    if as_bits:
+    if kind == "mask":
+        mask = _uint_array(values, 1)
+        if mask is None:
+            raise IntegrityError(f"{where}: {key} entries must be 0 or 1")
+        return mask.astype(np.uint8)
+    if kind == "binary16":
         codes = _uint_array(values, 0xFFFF)
         if codes is None:
             raise IntegrityError(f"{where}: {key} entries must be integers in [0, 65535]")
@@ -391,7 +418,7 @@ def _layer_values(entry: dict, key: str, n: int, where: str, as_bits: bool) -> n
         # 0x7C00 and 0xFC00 stay legal, as quantize --overflow inf writes them
         if (codes & 0x7FFF).max() > 0x7C00:
             raise IntegrityError(f"{where}: {key} holds a binary16 NaN code")
-        return codes.astype(np.uint16)
+        return decode_array(codes)
     if not set(map(type, values)) <= {int, float}:
         raise IntegrityError(f"{where}: {key} entries must be numbers")
     try:
@@ -414,7 +441,7 @@ def load_model_and_meta(path: str) -> tuple[Network, ModelMeta]:
     """`load_model` and `load_model_meta` from one read of the file."""
     doc = _load_doc(path)
     meta = _read_meta(doc, path)
-    half = meta.precision == "binary16"
+    tag, weights_key, bias_key = _VARIANTS[meta.precision]
     entries = _require(doc, "layers", list, path)
     if not entries:
         raise IntegrityError(f"{path}: model has no layers")
@@ -438,57 +465,28 @@ def load_model_and_meta(path: str) -> tuple[Network, ModelMeta]:
             raise IntegrityError(f"{where}: in_dim {in_dim} does not match previous out_dim {prev_out}")
         prev_out = out_dim
         n = in_dim * out_dim
-        mask_values = _require(entry, "mask", list, where)
-        if len(mask_values) != n:
-            raise IntegrityError(f"{where}: mask has {len(mask_values)} values, expected {n}")
-        mask = _uint_array(mask_values, 1)
-        if mask is None:
-            raise IntegrityError(f"{where}: mask entries must be 0 or 1")
-        mask = mask.astype(np.uint8).reshape(out_dim, in_dim)
-        if half:
-            codes = _layer_values(entry, "weights_f16", n, where, as_bits=True).reshape(out_dim, in_dim)
-            if np.any(codes[mask == 0] != 0):
-                raise IntegrityError(f"{where}: masked-off weight with non-zero half code")
-            weights = decode_array(codes)
-            bias = decode_array(_layer_values(entry, "bias_f16", out_dim, where, as_bits=True))
-        else:
-            weights = _layer_values(entry, "weights_f32", n, where, as_bits=False).reshape(out_dim, in_dim)
-            if np.any(weights[mask == 0] != 0):
-                raise IntegrityError(f"{where}: masked-off weight with non-zero value")
-            bias = _layer_values(entry, "bias_f32", out_dim, where, as_bits=False)
+        mask = _layer_values(entry, "mask", n, where, "mask").reshape(out_dim, in_dim)
+        weights = _layer_values(entry, weights_key, n, where, meta.precision).reshape(out_dim, in_dim)
+        # +0.0 is the only masked value; binary16 decoding is injective on
+        # the codes that load, so this is the code 0x0000 there
+        if weights.view(np.uint32)[mask == 0].any():
+            raise IntegrityError(f"{where}: masked-off weight is not +0.0")
+        bias = _layer_values(entry, bias_key, out_dim, where, meta.precision)
         layers.append(DenseLayer(weights=weights, mask=mask, bias=bias,
                                  activation=activations[i]))
-    return Network(layers=layers, generation=meta.generation,
-                   precision_tag=HALF if half else FULL), meta
+    return Network(layers=layers, generation=meta.generation, precision_tag=tag), meta
 
 
 # lineage reports
-
-
-def _fmt_real(x: float) -> str:
-    return f"{x:.6g}"
 
 
 def save_lineage_report(lineage: "Lineage", path: str) -> None:
     """CSV with one row per generation; byte-deterministic for equal input."""
     out = [LINEAGE_HEADER]
     for r in lineage.records:
-        out.append(",".join([
-            str(r.generation),
-            _fmt_real(r.alpha_used),
-            str(r.active_synapses),
-            str(r.total_synapses),
-            str(r.macs),
-            _fmt_real(r.train_loss),
-            _fmt_real(r.precision_metric),
-            _fmt_real(r.recall_metric),
-            _fmt_real(r.f1),
-            str(r.seed),
-        ]))
+        out.append(",".join(str(getattr(r, field)) if integer else f"{getattr(r, field):.6g}"
+                            for _, field, integer in _LINEAGE_COLUMNS))
     write_text(path, "\n".join(out) + "\n")
-
-
-_INT_COLUMNS = ("generation", "active_synapses", "total_synapses", "macs", "seed")
 
 
 def _finite(cell: str) -> float:
@@ -517,16 +515,16 @@ def load_lineage_report(path: str) -> list[dict]:
         raise ParseError(f"{path}: first line must be exactly the lineage header")
     if len(lines) < 2:
         raise ParseError(f"{path}: no data rows")
-    names = LINEAGE_HEADER.split(",")
     rows = []
     for lineno, line in lines[1:]:
         cells = line.split(",")
-        if len(cells) != len(names):
-            raise ParseError(f"{path} line {lineno}: expected {len(names)} columns, got {len(cells)}")
+        if len(cells) != len(_LINEAGE_COLUMNS):
+            raise ParseError(f"{path} line {lineno}: expected {len(_LINEAGE_COLUMNS)} columns, "
+                             f"got {len(cells)}")
         row = {}
-        for name, cell in zip(names, cells):
+        for (name, _, integer), cell in zip(_LINEAGE_COLUMNS, cells):
             try:
-                row[name] = _uint64(cell) if name in _INT_COLUMNS else _finite(cell)
+                row[name] = _uint64(cell) if integer else _finite(cell)
             except ValueError:
                 raise ParseError(f"{path} line {lineno}: bad value for {name}: {cell!r}") from None
         rows.append(row)

@@ -13,8 +13,8 @@ for seed 0 is the published test vector 0xE220A8397B1DCDAF.
 
 Blocks of the stream (``uniform_block``, the swap targets of
 ``permutation``) are computed as one wrapping uint64 vector, bit-identical
-to the sequential ``SplitMix64`` draws. ``permutation`` falls back to the
-scalar Fisher-Yates loop only when a draw would be rejected.
+to the sequential ``SplitMix64`` draws. ``permutation`` draws its swap
+targets one by one only when a draw in the block would be rejected.
 """
 
 from __future__ import annotations
@@ -107,33 +107,31 @@ def _rejected(u: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return (rem != 0) & (u >= np.uint64(0) - rem)
 
 
-def _permutation_scalar(n: int, seed: int) -> np.ndarray:
-    """Fisher-Yates with one ``next_below`` call per position."""
-    order = np.arange(n, dtype=np.int64)
-    rng = SplitMix64(seed)
-    for i in range(n - 1, 0, -1):
-        j = rng.next_below(i + 1)
-        order[i], order[j] = order[j], order[i]
-    return order
+def _swap_targets(n: int, seed: int) -> list[int]:
+    """The Fisher-Yates swap targets of positions n-1 down to 1, for n >= 2.
+
+    All ``n - 1`` first draws are computed as one uint64 block and reduced
+    modulo their bounds. If any draw in the block would be rejected
+    (probability about n**2 / 2**64), the targets are redrawn one
+    ``next_below`` call per position, which consumes the extra draws.
+    """
+    bounds = np.arange(n, 1, -1, dtype=np.uint64)  # i + 1 for i = n-1 .. 1
+    u = _u64_block(seed, n - 1)
+    if _rejected(u, bounds).any():
+        gen = SplitMix64(seed)
+        return [gen.next_below(b) for b in range(n, 1, -1)]
+    return (u % bounds).tolist()
 
 
 def permutation(n: int, seed: int) -> np.ndarray:
     """Deterministic Fisher-Yates permutation of range(n).
 
-    Swap targets come from one SplitMix64 stream: positions n-1 down to 1
-    each consume draws until ``next_below`` accepts. All ``n - 1`` first
-    draws are computed as one uint64 block and reduced modulo their bounds;
-    only the swaps run one by one. If any draw in the block would be
-    rejected (probability about n**2 / 2**64), the whole permutation is
-    redrawn by the scalar loop, which consumes the extra draws.
+    Swap targets come from one SplitMix64 stream (``_swap_targets``):
+    positions n-1 down to 1 each consume draws until ``next_below`` accepts.
     """
     if n < 2:
         return np.arange(n, dtype=np.int64)
-    bounds = np.arange(n, 1, -1, dtype=np.uint64)  # i + 1 for i = n-1 .. 1
-    u = _u64_block(seed, n - 1)
-    if _rejected(u, bounds).any():
-        return _permutation_scalar(n, seed)
     order = list(range(n))
-    for i, j in zip(range(n - 1, 0, -1), (u % bounds).tolist()):
+    for i, j in zip(range(n - 1, 0, -1), _swap_targets(n, seed)):
         order[i], order[j] = order[j], order[i]
     return np.array(order, dtype=np.int64)

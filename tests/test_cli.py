@@ -20,7 +20,7 @@ from evosynth.dataio import (
     synth_gaussians,
 )
 from evosynth.evolution import derive_seed
-from evosynth.netcore import DenseLayer, Network, live_counts
+from evosynth.netcore import DenseLayer, Network, TrainConfig, live_counts
 
 DATASET_SOURCE = {"type": "synthetic", "n_per_class": 120, "n_features": 8,
                   "separation": 3.0, "seed": 5}
@@ -445,6 +445,12 @@ def test_metrics_validation_fraction_bounds(run_dir, tmp_path, capsys):
         assert run(["metrics", "--model", str(run_dir / "gen_1.json"),
                     "--data", source, "--validation-fraction", bad]) == 1
     capsys.readouterr()
+
+
+def test_metrics_validation_fraction_default_is_the_training_default():
+    # the split metrics derives by default is the one evolve trained on
+    args = cli.build_parser().parse_args(["metrics", "--model", "m.json", "--data", "d.csv"])
+    assert args.validation_fraction == TrainConfig().validation_fraction
 
 
 def test_metrics_sigmoid_overflow_stays_quiet(tmp_path, capsys):

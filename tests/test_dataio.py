@@ -464,9 +464,11 @@ def test_model_format_version_checked(tmp_path):
 
 
 def test_model_bad_precision(tmp_path):
-    p = _doc(tmp_path, lambda d: d.update(precision="binary64"))
-    with pytest.raises(IntegrityError, match="precision"):
-        load_model(p)
+    # a list cannot be a key of the loader's variant table: it must still be an IntegrityError
+    for precision in ("binary64", None, ["binary16"]):
+        p = _doc(tmp_path, lambda d: d.update(precision=precision))
+        with pytest.raises(IntegrityError, match="precision"):
+            load_model(p)
 
 
 def test_model_no_layers(tmp_path):
@@ -620,7 +622,7 @@ def test_vectorised_loader_checks_match_the_loops():
                 assert got.tolist() == values
         want = _loop_f32_values(values)
         try:
-            got = dataio._layer_values({"w": values}, "w", n, "m", as_bits=False)
+            got = dataio._layer_values({"w": values}, "w", n, "m", "binary32")
         except IntegrityError as exc:
             assert isinstance(want, str) and str(exc) == f"m: w {want}", (values, exc)
         else:

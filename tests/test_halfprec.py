@@ -258,3 +258,24 @@ def test_encode_rounds_every_midpoint_to_even():
             assert np.array_equal(encode_array(flip * mid, policy), even | sign)
             assert np.array_equal(encode_array(flip * up, policy), high | sign)
             assert np.array_equal(encode_array(flip * down, policy), low | sign)
+
+
+def test_codec_properties_on_random_binary32_bit_patterns():
+    # random bit patterns cover every binary32 class: about 1/256 are NaN or
+    # infinite and about 44% are finite beyond binary16's range; the edges
+    # of the overflow midpoint 65520 are added by hand
+    bits = np.random.default_rng(16).integers(0, 2**32, size=10**6, dtype=np.uint32)
+    edges = np.array([65504.0, np.nextafter(np.float32(65520.0), np.float32(0.0)), 65520.0,
+                      np.finfo(np.float32).max], dtype=np.float32)
+    x = np.concatenate([bits.view(np.float32), edges, -edges])
+    finite = np.isfinite(x)
+    codes = {}
+    for policy in (SAT, INF):
+        c = encode_array(x, policy)
+        assert np.array_equal(encode_array(decode_array(c), policy), c)
+        assert np.all(c[np.isnan(x)] == NAN_F16)
+        codes[policy.overflow] = c
+    assert not np.any(((codes[SATURATE] & 0x7FFF) == EXP_MASK) & finite)
+    differ = codes[SATURATE] != codes[TO_INFINITY]
+    assert np.array_equal(differ, finite & (np.abs(x) >= 65520.0))
+    assert differ[-2 * len(edges):].tolist() == [False, False, True, True] * 2

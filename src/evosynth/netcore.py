@@ -15,10 +15,13 @@ path to an output gets exactly +-0 gradients in the dense computation, so
 its parameters never move, and ``train`` leaves it out of every batch.
 The one bit such a neuron loses to SGD is a negative zero: the dense step
 adds a +0.0 velocity, and -0.0 + +0.0 is +0.0. So when the best epoch is
-not the starting state, dead parameters come back as ``x + 0.0``. Every
-live weight block is stored C-contiguous, the layout of a whole layer, so
-the float64 loss curves differ from the dense loop's only where BLAS sums
-fewer zero terms.
+not the starting state, dead parameters come back as ``x + 0.0``.
+``train`` also leaves out the input columns that no live first-layer
+neuron reads, whose weights are all masked +0.0. The dense loss would turn
+a NaN or inf in such a column into NaN (NaN * 0.0), so ``train`` rejects a
+non-finite feature up front. Every live weight block is stored
+C-contiguous, the layout of a whole layer, so the float64 loss curves
+differ from the dense loop's only where BLAS sums fewer zero terms.
 
 The SGD loop is shaped to make few numpy calls per batch, each one the
 same IEEE operation, in the same order, as the plain spelling kept in
@@ -31,14 +34,16 @@ mask is all ones skips the multiply by its mask (x * 1.0 = x). Each epoch
 gathers its shuffled rows, labels and one-hot rows once, and each batch
 takes slices of them.
 
-Inference runs the same sub-network. The first ``forward``,
-``forward_batch`` or ``mean_loss`` call on a network prepares its plan
-once (``_plan``): the float64 live blocks, kept on the network while
-``net.layers`` holds the same array objects. Preparing it clears the
-``writeable`` flag of every layer array, so a network that has run
-inference is immutable in fact: an in-place write raises instead of
-leaving the plan stale, and new values go in new arrays (``copy()``
-returns writable ones).
+Inference runs the same sub-network, but keeps every input column, so a
+NaN in an unread feature still ends in ``NumericFailure``: an exact rule
+without those columns would need an ``isfinite`` pass over every batch.
+The first ``forward``, ``forward_batch`` or ``mean_loss`` call on a
+network prepares its plan once (``_plan``): the float64 live blocks, kept
+on the network while ``net.layers`` holds the same array objects.
+Preparing it clears the ``writeable`` flag of every layer array, so a
+network that has run inference is immutable in fact: an in-place write
+raises instead of leaving the plan stale, and new values go in new arrays
+(``copy()`` returns writable ones).
 """
 
 from __future__ import annotations
@@ -289,9 +294,11 @@ def _live_params(layers: Sequence[DenseLayer]):
     Returns ``(ws, bs, acts, masks, blocks)``: per layer the masked
     weights and the mask restricted to the live rows and to the columns
     of the previous layer's live rows (every input column and every
-    output row is kept), the live biases, the activation and the
-    ``(rows, cols)`` boolean selectors. Weight blocks are C-contiguous
-    (see the module docstring); ``w[:, cols]`` alone would be F-ordered.
+    output row is kept; ``train`` then drops the input columns no live
+    row reads, and the plan keeps them), the live biases, the activation
+    and the ``(rows, cols)`` boolean selectors. Weight blocks are
+    C-contiguous (see the module docstring); ``w[:, cols]`` alone would be
+    F-ordered.
     """
     live = _live_rows([l.mask for l in layers])
     blocks = list(zip(live, [np.ones(layers[0].weights.shape[1], dtype=bool)] + live[:-1]))
@@ -461,16 +468,19 @@ def train(net: Network, dataset: "Dataset", cfg: TrainConfig) -> tuple[Network, 
     ``e``'s shuffle from substream ``e``; the log carries the split.
 
     SGD runs on the backward-live sub-network (``_live_rows``): the live
-    rows and columns of each weight matrix, with every input column and
-    every output row kept. Dead neurons get exactly +-0 gradients in the
-    dense computation, so dead parameters come back as the dense loop
-    leaves them: unchanged, or as ``x + 0.0`` (which turns -0.0 into
-    +0.0, as the dense SGD step does) when ``best_epoch > 0``. Live
-    values see the same operations minus zero terms: the float64 loss
-    curves can differ from the dense ones by a few ulps, and
-    tests/test_netcore.py checks the binary32 result against the dense
-    loop bit for bit. A NaN or infinite parameter
-    anywhere in ``net`` raises ``NumericFailure`` before any work is done.
+    rows and columns of each weight matrix, with every output row kept,
+    and of the first layer only the input columns its live rows read (the
+    features are narrowed to them once, before the first epoch). Dead
+    neurons get exactly +-0 gradients in the dense computation, and a
+    dropped column's weights are masked +0.0, so dead parameters come
+    back as the dense loop leaves them: unchanged, or as ``x + 0.0``
+    (which turns -0.0 into +0.0, as the dense SGD step does) when
+    ``best_epoch > 0``. Live values see the same operations minus zero
+    terms: the float64 loss curves can differ from the dense ones by a
+    few ulps, and tests/test_netcore.py checks the binary32 result
+    against the dense loop bit for bit. A NaN or infinite parameter
+    anywhere in ``net``, or feature anywhere in ``dataset``, raises
+    ``NumericFailure`` before any work is done.
 
     The live parameters, velocities and gradients are one flat buffer each,
     with a C-contiguous view per layer: the momentum step is three calls
@@ -482,6 +492,8 @@ def train(net: Network, dataset: "Dataset", cfg: TrainConfig) -> tuple[Network, 
     """
     _check_finite(net)
     x, y = _batch(net, dataset.features, dataset.labels)
+    if not np.isfinite(x).all():  # a dropped column would hide it from the loss
+        raise NumericFailure("non-finite feature value")
     if len(np.unique(y)) < 2:
         raise InvalidLabel("dataset must contain at least 2 represented classes")
 
@@ -491,9 +503,15 @@ def train(net: Network, dataset: "Dataset", cfg: TrainConfig) -> tuple[Network, 
             f"{len(train_idx)} training samples after the validation split, "
             f"need at least one batch of {cfg.batch_size}"
         )
-    x_val, y_val = x[val_idx], y[val_idx]
 
     ws, bs, acts, masks, blocks = _live_params(net.layers)
+    # layer 0 on the input columns its live mask uses; the others hold masked +0.0
+    cols = masks[0].any(axis=0)
+    ws[0], masks[0] = np.ascontiguousarray(ws[0][:, cols]), masks[0][:, cols]
+    blocks[0] = (blocks[0][0], cols)
+    x = np.ascontiguousarray(x[:, cols])
+    x_val, y_val = x[val_idx], y[val_idx]
+
     # weights, then biases, in one buffer each; ws and bs become views of params
     n_weights = sum(w.size for w in ws)
     params = np.concatenate([w.ravel() for w in ws] + bs)

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +138,28 @@ def test_evolve_wide_output_bytes_are_pinned(tmp_path, capsys):
     assert run(["evolve", "--config", cfg, "--seed", "1", "--out", str(out)]) == 0
     capsys.readouterr()
     assert _dir_digest(out) == LINEAGE_WIDE_SEED_1_DIGEST
+
+
+# the benchmark's other pinned lineages: master seeds 2-5 of both shapes on
+# synth_gaussians(500, in_dim, 3.0, seed 0), 13 generations
+BENCH_SHAPES = {"lineage-small": (16, 64, 32, 2), "lineage-wide": (256, 128, 64, 2)}
+
+
+@pytest.mark.parametrize("workload, seed", [(w, s) for w in BENCH_SHAPES for s in (2, 3, 4, 5)])
+def test_evolve_bench_lineage_bytes_are_pinned(tmp_path, capsys, workload, seed):
+    digests = json.loads((Path(__file__).resolve().parents[1] / "bench" / "digests.json")
+                         .read_text(encoding="utf-8"))
+    widths = BENCH_SHAPES[workload]
+    doc = {"layers": [{"in_dim": a, "out_dim": b, "activation": "relu"}
+                      for a, b in zip(widths, widths[1:])],
+           "dataset": {"type": "synthetic", "n_per_class": 500, "n_features": widths[0],
+                       "separation": 3.0, "seed": 0},
+           "evolution": {"generations": 13}}
+    cfg = _write_json(tmp_path / "run.json", doc)
+    out = tmp_path / "out"
+    assert run(["evolve", "--config", cfg, "--seed", str(seed), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert _dir_digest(out) == digests[workload][str(seed)]
 
 
 def test_evolve_seed_flag_overrides(run_dir, tmp_path, capsys):

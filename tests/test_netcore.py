@@ -485,11 +485,35 @@ def test_train_matches_dense_loop_with_dead_neurons(activation, learning_rate, i
     assert [bool(np.signbit(v)) for v in dead] == [not improves] * 4
 
 
-@pytest.fixture(scope="module")
-def lineage_children():
-    """The networks (and train configs) generations 4, 7 and 13 of the
-    acceptance lineage, master seed 1, start training from."""
-    ds = synth_gaussians(500, 16, 3.0, seed=0)
+def _live_input_count(net) -> int:
+    """How many input columns feed a backward-live first-layer neuron."""
+    live = _live_rows([l.mask for l in net.layers])
+    return int(np.count_nonzero(net.layers[0].mask[live[0]].any(axis=0)))
+
+
+@pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+@pytest.mark.parametrize("live_inputs", [[1, 3], []], ids=["k=2", "k=0"])
+def test_train_matches_dense_loop_with_dead_input_columns(activation, live_inputs):
+    """Live first-layer neurons 0, 1 and 3 read only ``live_inputs`` (4 reads
+    none); dead neuron 2 keeps every input and its -0.0 in column 0, and live
+    neuron 0 holds -0.0 in its masked slot of column 0. With no live input
+    column, the first-layer matmuls have an empty inner dimension."""
+    net = _dead_neuron_net(activation)
+    m0, w0 = net.layers[0].mask, net.layers[0].weights
+    dead_inputs = np.ix_([0, 1, 3], [c for c in range(4) if c not in live_inputs])
+    m0[dead_inputs] = 0
+    w0[dead_inputs] = 0.0
+    w0[0, 0] = -0.0
+    assert _live_input_count(net) == len(live_inputs) < net.in_dim
+    cfg = TrainConfig(max_epochs=6, patience=3, seed=7)
+    got, _ = _assert_matches_dense(net, _toy_dataset(), cfg, f"{activation} k={len(live_inputs)}")
+    assert got.layers[0].weights[0, 0] == 0.0 and not np.signbit(got.layers[0].weights[0, 0])
+
+
+def _train_calls(widths):
+    """The dataset, and the networks (and train configs) every generation of
+    master seed 1 starts training from, on ``synth_gaussians(500, widths[0], 3.0)``."""
+    ds = synth_gaussians(500, widths[0], 3.0, seed=0)
     calls = {}
 
     def capture(net, dataset, cfg):
@@ -498,9 +522,22 @@ def lineage_children():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evolution, "train", capture)
-        evolution.evolve([LayerSpec(16, 64), LayerSpec(64, 32), LayerSpec(32, 2)], ds,
+        evolution.evolve([LayerSpec(a, b) for a, b in zip(widths, widths[1:])], ds,
                          evolution.EvolutionConfig(master_seed=1))
     return ds, calls
+
+
+@pytest.fixture(scope="module")
+def lineage_children():
+    """The networks (and train configs) generations 4, 7 and 13 of the
+    acceptance lineage, master seed 1, start training from."""
+    return _train_calls((16, 64, 32, 2))
+
+
+@pytest.fixture(scope="module")
+def wide_lineage_children():
+    """The same for the 256-128-64-2 shape of the lineage-wide benchmark."""
+    return _train_calls((256, 128, 64, 2))
 
 
 # sha256 over the binary32 weights and biases, best_epoch and epoch count
@@ -533,6 +570,15 @@ def test_train_matches_dense_loop_on_lineage(lineage_children, generation):
     live = _live_rows([l.mask for l in net.layers])
     assert not all(r.all() for r in live), "no dead neuron: the case tests nothing"
     _assert_matches_dense(net, ds, cfg, f"small seed 1 generation {generation}")
+
+
+@pytest.mark.parametrize("generation", [4, 13])
+def test_train_matches_dense_loop_on_wide_lineage(wide_lineage_children, generation):
+    ds, calls = wide_lineage_children
+    net, cfg = calls[generation]
+    k = _live_input_count(net)
+    assert k < net.in_dim, "every input column is live: the case tests nothing"
+    _assert_matches_dense(net, ds, cfg, f"wide seed 1 generation {generation}, {k} live inputs")
 
 
 def _reachable_rows(masks):
@@ -830,6 +876,23 @@ def test_train_rejects_non_finite_parameters(parameter, max_epochs):
         net.layers[0].weights[0, 0] = np.nan
     with pytest.raises(NumericFailure, match="non-finite parameter in layer 0"):
         train(net, _toy_dataset(), TrainConfig(max_epochs=max_epochs, seed=1))
+
+
+@pytest.mark.parametrize("max_epochs", [5, 0])
+@pytest.mark.parametrize("column", ["dead", "live"])
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_train_rejects_non_finite_features(value, column, max_epochs):
+    # input column 1 feeds no neuron, so training leaves it out; in the dense
+    # loss NaN * 0.0 and inf * 0.0 are NaN, and train keeps that rule by checking
+    net = init_network([LayerSpec(4, 6), LayerSpec(6, 2)], seed=3)
+    net.layers[0].mask[:, 1] = 0
+    net.layers[0].weights[:, 1] = 0.0
+    ds = _toy_dataset()
+    features = ds.features.copy()
+    features[7, 1 if column == "dead" else 0] = value
+    with pytest.raises(NumericFailure, match="non-finite feature value"):
+        train(net, Dataset(features, ds.labels, ds.n_classes),
+              TrainConfig(max_epochs=max_epochs, seed=1))
 
 
 def test_train_config_validation():

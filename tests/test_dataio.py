@@ -32,7 +32,7 @@ from evosynth.errors import (
     TruncatedFile,
 )
 from evosynth.evolution import EvolutionConfig, GenerationRecord, Lineage
-from evosynth.halfprec import PrecisionPolicy, encode_array, quantize_network
+from evosynth.halfprec import TO_INFINITY, PrecisionPolicy, encode_array, quantize_network
 from evosynth.netcore import ACTIVATIONS, LayerSpec, init_network
 
 
@@ -368,6 +368,7 @@ WRITER_SHAPES = {
     "1x1": ((1, 1), 1.0),
     "fully-masked": ((6, 4, 2), 0.0),
     "wider": ((40, 24, 3), 0.3),
+    "lineage-wide": ((256, 128, 64, 2), 0.05),
 }
 
 
@@ -396,6 +397,100 @@ def test_save_model_bytes_equal_json_dump_indent_1(tmp_path, shape, precision):
             assert a.bias.tobytes() == b.bias.tobytes()
 
 
+def test_save_model_bytes_equal_json_dump_with_infinite_codes(tmp_path):
+    rng = np.random.default_rng(15)
+    net = _random_net(rng, (7, 6, 5, 4, 2), 0.5)
+    live = np.flatnonzero(net.layers[0].mask)
+    net.layers[0].weights.flat[live[:2]] = [1e6, -1e6]  # beyond binary16's 65504
+    net = quantize_network(net, PrecisionPolicy(overflow=TO_INFINITY))
+    ours, ref = tmp_path / "ours.json", tmp_path / "ref.json"
+    save_model(net, str(ours), seed=3, alpha_history=[0.5])
+    _reference_save_model(net, str(ref), seed=3, alpha_history=[0.5])
+    assert ours.read_bytes() == ref.read_bytes()
+    codes = json.loads(ours.read_text())["layers"][0]["weights_f16"]
+    assert {0x7C00, 0xFC00} <= set(codes)
+    back = load_model(str(ours))
+    for a, b in zip(net.layers, back.layers):
+        assert a.weights.tobytes() == b.weights.tobytes()
+
+
+def _repr_items(values, inner):
+    return repr(values.tolist())[1:-1].replace(", ", ",\n" + inner)
+
+
+# a model file's integer lists sit at depth 4 (document, layers list, layer,
+# list); the others check that the indent is not built in
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_int_items_spell_every_code_like_repr(depth):
+    inner = " " * depth
+    codes = np.arange(65536, dtype=np.uint16)
+    cases = [codes]
+    # each digit-width class alone: no entry has a leading zero
+    cases += [codes[lo:hi] for lo, hi in [(0, 10), (10, 100), (100, 1000), (1000, 10000),
+                                          (10000, 65536)]]
+    cases += [np.zeros(n, dtype=dtype) for n in (1, 2, 33) for dtype in (np.uint8, np.uint16)]
+    cases += [np.array([v], dtype=np.uint16) for v in (0, 1, 9, 10, 99, 100, 65535)]
+    rng = np.random.default_rng(depth)
+    cases += [(rng.random(n) < p).astype(np.uint8) for n in (1, 7, 1000) for p in (0.0, 0.05, 0.5, 1.0)]
+    cases += [rng.permutation(codes)[:999], codes.reshape(256, 256),
+              np.arange(256, dtype=np.uint8),  # digits taken in the array's own dtype
+              np.array([2**32 - 1, 0, 10**9, 999_999_999], dtype=np.uint32),
+              np.array([2**64 - 1, 0, 10**19, 7], dtype=np.uint64)]
+    for values in cases:
+        assert dataio._int_items(values, inner) == _repr_items(values.ravel(), inner)
+
+
+@pytest.mark.parametrize("half", [False, True], ids=["binary32", "binary16"])
+@pytest.mark.parametrize("value", [2, -1, 0.5, np.nan], ids=["2", "-1", "0.5", "nan"])
+def test_save_model_rejects_mask_entries_other_than_0_and_1(tmp_path, value, half):
+    net = quantize_network(_small_net(), PrecisionPolicy()) if half else _small_net()
+    layer = net.layers[1]
+    layer.mask = layer.mask.astype(np.float64 if isinstance(value, float) else np.int64)
+    layer.mask[0, 0] = value
+    p = tmp_path / "m.json"
+    with pytest.raises(IntegrityError, match="layer 1: mask entries must be 0 or 1") as info:
+        save_model(net, str(p))
+    assert info.value.exit_code == 2
+    assert not p.exists()
+
+
+@pytest.mark.parametrize("half, value", [
+    (False, -0.0), (False, 1e-45), (False, 0.25), (True, -0.0), (True, 1.0),
+], ids=["binary32 -0.0", "binary32 subnormal", "binary32 0.25", "binary16 -0.0", "binary16 1.0"])
+def test_save_model_rejects_masked_weight_that_is_not_positive_zero(tmp_path, half, value):
+    net = quantize_network(_small_net(), PrecisionPolicy()) if half else _small_net()
+    net.layers[0].weights[0, 1] = value  # masked off in the fixture
+    p = tmp_path / "m.json"
+    with pytest.raises(IntegrityError, match="layer 0: masked-off weight is not \\+0.0") as info:
+        save_model(net, str(p))
+    assert info.value.exit_code == 2
+    assert not p.exists()
+
+
+def test_save_model_writes_masked_weight_that_reads_back_as_positive_zero(tmp_path):
+    net = quantize_network(_small_net(), PrecisionPolicy())
+    net.layers[0].weights[0, 1] = 1e-10  # rounds to binary16 code 0x0000
+    p = str(tmp_path / "m.json")
+    save_model(net, p)
+    assert load_model(p).layers[0].weights.view(np.uint32)[0, 1] == 0
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int64, np.float32])
+@pytest.mark.parametrize("half", [False, True], ids=["binary32", "binary16"])
+def test_save_model_writes_any_0_1_mask_as_integers(tmp_path, dtype, half):
+    net = quantize_network(_small_net(), PrecisionPolicy()) if half else _small_net()
+    expected = tmp_path / "uint8.json"
+    save_model(net, str(expected))
+    for layer in net.layers:
+        layer.mask = layer.mask.astype(dtype)
+    p = tmp_path / "m.json"
+    save_model(net, str(p))
+    assert p.read_bytes() == expected.read_bytes()
+    for a, b in zip(net.layers, load_model(str(p)).layers):
+        assert b.mask.dtype == np.uint8
+        np.testing.assert_array_equal(a.mask, b.mask)
+
+
 @pytest.mark.parametrize("layer, name, value", [
     (1, "weight", np.inf), (0, "weight", np.nan), (1, "bias", -np.inf), (0, "bias", np.nan),
 ])
@@ -408,6 +503,22 @@ def test_save_model_rejects_non_finite_binary32(tmp_path, layer, name, value):
         save_model(net, str(p))
     assert info.value.exit_code == 3
     assert p.read_text() == "kept"  # raised before the file was opened
+
+
+def test_save_model_writes_float64_weights_as_the_binary32_values_they_load_as(tmp_path):
+    net = _small_net()
+    for layer in net.layers:
+        layer.weights = layer.weights.astype(np.float64)
+    net.layers[0].weights[1, 2] = 0.1  # not a binary32 value
+    p = tmp_path / "m.json"
+    save_model(net, str(p))
+    for a, b in zip(net.layers, load_model(str(p)).layers):
+        assert a.weights.astype(np.float32).tobytes() == b.weights.tobytes()
+    net.layers[1].weights[0, 0] = 1e300  # finite in binary64, inf in binary32
+    p.unlink()
+    with pytest.raises(NumericFailure, match="layer 1 has a non-finite weight"):
+        save_model(net, str(p))
+    assert not p.exists()
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])

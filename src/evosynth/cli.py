@@ -21,12 +21,14 @@ import numpy as np
 
 from .dataio import (
     Dataset,
+    check_synth_params,
     load_csv_dataset,
     load_idx,
     load_lineage_report,
     load_model_and_meta,
     read_json,
     save_model,
+    synth_gaussian_rows,
     synth_gaussians,
     write_text,
 )
@@ -155,12 +157,29 @@ def build_dataset(source: dict) -> Dataset:
     return _SOURCES[source["type"]](**rest)
 
 
-def _load_data_arg(arg: str) -> Dataset:
-    """--data accepts a CSV path or a JSON dataset-source document."""
+def _load_data_arg(arg: str, pick=None) -> Dataset:
+    """--data accepts a CSV path or a JSON dataset-source document.
+
+    ``pick(n)``, if given, returns the rows of an n-row dataset to keep. A
+    synthetic source then synthesizes only those rows; CSV and IDX sources
+    are loaded, and so checked, whole before they are indexed.
+    """
     if arg.endswith(".csv"):
-        return load_csv_dataset(arg)
-    doc = read_json(arg, ConfigError, ConfigError, "data source ")
-    return build_dataset(_dataset_source(doc, f"data source {arg}"))
+        dataset = load_csv_dataset(arg)
+    else:
+        source = _dataset_source(read_json(arg, ConfigError, ConfigError, "data source "),
+                                 f"data source {arg}")
+        if pick is not None and source["type"] == "synthetic":
+            rest = {key: value for key, value in source.items() if key != "type"}
+            # before pick: an oversized source must fail here, not in drawing its split
+            check_synth_params(rest["n_per_class"], rest["n_features"], rest["separation"])
+            return synth_gaussian_rows(**rest, rows=pick(2 * rest["n_per_class"]))
+        dataset = build_dataset(source)
+    if pick is None:
+        return dataset
+    rows = pick(len(dataset))
+    return Dataset(features=dataset.features[rows], labels=dataset.labels[rows],
+                   n_classes=dataset.n_classes)
 
 
 # deterministic SVG line charts
@@ -309,14 +328,12 @@ def cmd_metrics(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"--validation-fraction {args.validation_fraction}: {exc}") from exc
     net, meta = load_model_and_meta(args.model)
-    dataset = _load_data_arg(args.data)
-    if args.split == "val":
-        _, val_idx = validation_split(len(dataset), split.validation_fraction,
-                                      training_seed(meta.seed))
-        features, labels = dataset.features[val_idx], dataset.labels[val_idx]
-    else:
-        features, labels = dataset.features, dataset.labels
-    result = evaluate_classifier(net, features, labels)
+
+    def val_rows(n_samples: int) -> np.ndarray:
+        return validation_split(n_samples, split.validation_fraction, training_seed(meta.seed))[1]
+
+    dataset = _load_data_arg(args.data, val_rows if args.split == "val" else None)
+    result = evaluate_classifier(net, dataset.features, dataset.labels)
     result["active_synapses"] = count_active_synapses(net)
     result["macs"] = inference_cost(net)
     print(json.dumps(result, indent=1))

@@ -51,7 +51,7 @@ from .errors import (
 )
 from .halfprec import decode_array, encode_array
 from .netcore import ACTIVATIONS, DenseLayer, FULL, HALF, Network
-from .rng import uniform_block
+from .rng import uniform_at, uniform_block
 
 if TYPE_CHECKING:
     from .evolution import Lineage
@@ -240,12 +240,12 @@ def load_idx(images: str, labels: str, limit: int | None = None) -> Dataset:
     return Dataset(features=features, labels=classes, n_classes=int(classes.max()) + 1)
 
 
-def synth_gaussians(n_per_class: int, n_features: int, separation: float,
-                    seed: int = 0) -> Dataset:
-    """Two unit-variance Gaussian blobs at -+separation/2 along feature 0.
+def check_synth_params(n_per_class: int, n_features: int, separation: float) -> None:
+    """Raise `InvalidParam` unless `synth_gaussians` can build this dataset.
 
-    Class 0 first, then class 1. Normal deviates come from a Box-Muller
-    transform over one deterministic uniform stream.
+    A class centre beyond binary32 would cast to an infinite feature. One
+    within it cannot: |z| <= sqrt(106 ln 2) < 9 moves a value by far less
+    than the half ulp of the largest binary32 value.
     """
     if n_per_class < 1:
         raise InvalidParam(f"n_per_class must be >= 1, got {n_per_class}")
@@ -253,9 +253,24 @@ def synth_gaussians(n_per_class: int, n_features: int, separation: float,
         raise InvalidParam(f"n_features must be >= 1, got {n_features}")
     if not separation > 0:
         raise InvalidParam(f"separation must be positive, got {separation}")
+    if separation > 2.0 * float(np.finfo(np.float32).max):  # exact, also for a huge int
+        raise InvalidParam(f"separation / 2 must not exceed the largest binary32 value, "
+                           f"got separation {separation}")
     count = 2 * n_per_class * n_features
     if count > np.iinfo(np.intp).max // 8:  # numpy cannot even size the float64 array
         raise InvalidParam(f"2 * n_per_class * n_features = {count} values exceed any address space")
+
+
+def synth_gaussians(n_per_class: int, n_features: int, separation: float,
+                    seed: int = 0) -> Dataset:
+    """Two unit-variance Gaussian blobs at -+separation/2 along feature 0.
+
+    Class 0 first, then class 1. Normal deviates come from a Box-Muller
+    transform over one deterministic uniform stream: flat value v is made
+    from uniforms 2 * (v // 2) and 2 * (v // 2) + 1.
+    """
+    check_synth_params(n_per_class, n_features, separation)
+    count = 2 * n_per_class * n_features
     pairs = (count + 1) // 2
     u = uniform_block(seed, 2 * pairs)
     u1, u2 = u[0::2], u[1::2]
@@ -269,6 +284,42 @@ def synth_gaussians(n_per_class: int, n_features: int, separation: float,
     features[n_per_class:, 0] += separation / 2.0
     labels = np.repeat(np.array([0, 1], dtype=np.int64), n_per_class)
     return Dataset(features=features.astype(np.float32), labels=labels, n_classes=2)
+
+
+def synth_gaussian_rows(n_per_class: int, n_features: int, separation: float,
+                        seed: int = 0, *, rows) -> Dataset:
+    """Rows `rows` of `synth_gaussians(n_per_class, n_features, separation, seed)`.
+
+    Bit for bit the features and labels of the whole dataset indexed by
+    `rows` (any 1-D integers in [0, 2 * n_per_class), in any order, with
+    repeats), computed from only the stream draws those rows use: row r
+    starts at flat value r * n_features, and its values come from the
+    (n_features + 1) // 2 Box-Muller pairs from (r * n_features) // 2 on.
+    For odd `n_features` a pair can span two rows. The arithmetic below
+    repeats `synth_gaussians`' operation for operation.
+    """
+    check_synth_params(n_per_class, n_features, separation)
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or (rows.size and (rows.dtype.kind not in "iu" or rows.min() < 0
+                                          or rows.max() >= 2 * n_per_class)):
+        raise InvalidParam(f"rows must be 1-D integers in [0, {2 * n_per_class})")
+    start = rows.astype(np.int64) * n_features
+    width = (n_features + 1) // 2
+    first = 2 * (start // 2)
+    u = uniform_at(seed, (first[:, None] + np.arange(2 * width)).ravel())
+    u1, u2 = u[0::2], u[1::2]
+    radius = np.sqrt(-2.0 * np.log1p(-u1))
+    angle = 2.0 * np.pi * u2
+    z = np.empty(u.size, dtype=np.float64)
+    z[0::2] = radius * np.cos(angle)
+    z[1::2] = radius * np.sin(angle)
+    z = z.reshape(len(rows), 2 * width)
+    features = np.take_along_axis(z, (start - first)[:, None] + np.arange(n_features), axis=1)
+    second = rows >= n_per_class
+    features[~second, 0] -= separation / 2.0
+    features[second, 0] += separation / 2.0
+    return Dataset(features=features.astype(np.float32), labels=second.astype(np.int64),
+                   n_classes=2)
 
 
 # model files

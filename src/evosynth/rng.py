@@ -15,6 +15,13 @@ Blocks of the stream (``uniform_block``, the swap targets of
 ``permutation``) are computed as one wrapping uint64 vector, bit-identical
 to the sequential ``SplitMix64`` draws. ``permutation`` draws its swap
 targets one by one only when a draw in the block would be rejected.
+
+The stream is random access: output k depends on ``s`` and ``k`` alone,
+with no state carried from output k - 1. ``_outputs`` states the
+arithmetic once, for any vector of counters; ``uniform_at`` uses it to
+read the doubles at arbitrary positions without computing the ones
+before them (``dataio.synth_gaussian_rows`` builds single dataset rows
+this way).
 """
 
 from __future__ import annotations
@@ -49,18 +56,25 @@ def substream(seed: int, index: int) -> int:
     return mix64((seed + (index + 1) * GOLDEN_GAMMA) & _MASK64)
 
 
-def _u64_block(seed: int, count: int) -> np.ndarray:
-    """First ``count`` raw outputs of the stream, as one uint64 vector.
+def _outputs(seed: int, ks: np.ndarray) -> np.ndarray:
+    """Raw outputs ``k - 1`` of the stream for the uint64 counters ``ks`` (k >= 1).
 
-    Bit-identical to ``count`` successive ``SplitMix64.next_u64()`` calls;
+    The whole stream arithmetic, elementwise: ``mix64(seed + k * GOLDEN_GAMMA)``.
     numpy's uint64 arithmetic wraps modulo 2**64 like the scalar masks.
     """
-    ks = np.arange(1, count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
         z = np.uint64(seed & _MASK64) + ks * np.uint64(GOLDEN_GAMMA)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_K1)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_K2)
     return z ^ (z >> np.uint64(31))
+
+
+def _u64_block(seed: int, count: int) -> np.ndarray:
+    """First ``count`` raw outputs of the stream, as one uint64 vector.
+
+    Bit-identical to ``count`` successive ``SplitMix64.next_u64()`` calls.
+    """
+    return _outputs(seed, np.arange(1, count + 1, dtype=np.uint64))
 
 
 def uniform_block(seed: int, count: int) -> np.ndarray:
@@ -69,6 +83,16 @@ def uniform_block(seed: int, count: int) -> np.ndarray:
     Bit-identical to ``count`` successive ``SplitMix64.next_float()`` calls.
     """
     return (_u64_block(seed, count) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+
+
+def uniform_at(seed: int, positions) -> np.ndarray:
+    """Doubles in [0, 1) at 0-based stream ``positions`` (non-negative integers).
+
+    Equals ``uniform_block(seed, n)[positions]`` for any ``n`` past the
+    largest position, at the cost of the positions asked for only.
+    """
+    ks = np.asarray(positions, dtype=np.uint64) + np.uint64(1)
+    return (_outputs(seed, ks) >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
 class SplitMix64:

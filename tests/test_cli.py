@@ -18,10 +18,11 @@ from evosynth.dataio import (
     load_model,
     load_model_meta,
     save_model,
+    synth_gaussian_rows,
     synth_gaussians,
 )
-from evosynth.evolution import derive_seed
-from evosynth.netcore import DenseLayer, Network, TrainConfig, live_counts
+from evosynth.evolution import derive_seed, training_seed
+from evosynth.netcore import DenseLayer, Network, TrainConfig, live_counts, validation_split
 
 DATASET_SOURCE = {"type": "synthetic", "n_per_class": 120, "n_features": 8,
                   "separation": 3.0, "seed": 5}
@@ -462,6 +463,51 @@ def test_metrics_accepts_csv(run_dir, tmp_path, capsys):
     assert result["accuracy"] == 1.0
 
 
+def _exact_csv(path, dataset):
+    """`dataset` as a CSV whose decimals parse back to its float32 values exactly."""
+    n_features = dataset.features.shape[1]
+    rows = [",".join([f"f{j}" for j in range(n_features)] + ["label"])]
+    rows += [",".join([repr(float(v)) for v in features] + [str(label)])
+             for features, label in zip(dataset.features, dataset.labels)]
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("fraction", ["0.2", "0.35"])
+@pytest.mark.parametrize("split", ["val", "full"])
+def test_metrics_synthetic_source_prints_what_its_csv_prints(run_dir, tmp_path, capsys,
+                                                             monkeypatch, split, fraction):
+    # a synthetic source with --split val synthesizes only the validation rows;
+    # the CSV of the same values is loaded whole and then indexed
+    synthesized = []
+
+    def rows_spy(*args, rows, **kwargs):
+        synthesized.append(len(rows))
+        return synth_gaussian_rows(*args, rows=rows, **kwargs)
+
+    monkeypatch.setattr(cli, "synth_gaussian_rows", rows_spy)
+    csv = _exact_csv(tmp_path / "same.csv", synth_gaussians(120, 8, 3.0, 5))
+    source = _write_json(tmp_path / "source.json", DATASET_SOURCE)
+    printed = []
+    for data in (source, csv):
+        assert run(["metrics", "--model", str(run_dir / "gen_4.json"), "--data", data,
+                    "--split", split, "--validation-fraction", fraction]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    assert synthesized == ([int(240 * float(fraction))] if split == "val" else [])
+
+
+def test_metrics_val_split_checks_every_csv_row(run_dir, tmp_path, capsys):
+    dataset = synth_gaussians(120, 8, 3.0, 5)
+    val = set(validation_split(240, 0.2, training_seed(load_model_meta(
+        str(run_dir / "gen_1.json")).seed))[1].tolist())
+    outside = min(set(range(240)) - val)
+    dataset.features[outside, 3] = np.inf
+    csv = _exact_csv(tmp_path / "bad.csv", dataset)
+    assert run(["metrics", "--model", str(run_dir / "gen_1.json"), "--data", csv]) == 2
+    assert f"row {outside + 2}: non-finite feature value" in capsys.readouterr().err
+
+
 def test_metrics_validation_fraction_bounds(run_dir, tmp_path, capsys):
     source = _write_json(tmp_path / "source.json", DATASET_SOURCE)
     for bad in ("0", "1", "1.5"):
@@ -501,9 +547,15 @@ def test_metrics_missing_model(tmp_path, capsys):
 # 10**17 rows of 8 features are more values than numpy can size an array for; of 1
 # feature, 1.4 EiB, which no allocator grants. Neither commits any memory.
 @pytest.mark.parametrize("n_features, message", [(8, "n_per_class"), (1, "out of memory")])
-@pytest.mark.parametrize("command", ["evolve", "metrics"])
+# `metrics` is --split full; with --split val the parameters are checked before
+# the split of 2 * 10**17 rows is drawn, which fails as fast
+@pytest.mark.parametrize("command", ["evolve", "metrics", "metrics-val"])
 def test_oversized_dataset_is_config_error(tmp_path, capsys, command, n_features, message):
     source = dict(DATASET_SOURCE, n_per_class=10**17, n_features=n_features)
+    _assert_bad_source_is_config_error(tmp_path, capsys, command, source, message)
+
+
+def _assert_bad_source_is_config_error(tmp_path, capsys, command, source, message):
     out = tmp_path / "out"
     if command == "evolve":
         doc = _config_doc()
@@ -511,12 +563,21 @@ def test_oversized_dataset_is_config_error(tmp_path, capsys, command, n_features
         argv = ["evolve", "--config", _write_json(tmp_path / "run.json", doc), "--out", str(out)]
     else:
         argv = ["metrics", "--model", _full_model(tmp_path, np.full((2, 8), 0.5)),
-                "--data", _write_json(tmp_path / "source.json", source), "--split", "full"]
+                "--data", _write_json(tmp_path / "source.json", source),
+                "--split", "val" if command == "metrics-val" else "full"]
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert not out.exists()
+
+
+# a class centre beyond binary32 would cast to infinite features: rejected
+# before evolve creates its output directory, as for any bad parameter
+@pytest.mark.parametrize("command", ["evolve", "metrics", "metrics-val"])
+def test_separation_beyond_binary32_is_config_error(tmp_path, capsys, command):
+    source = dict(DATASET_SOURCE, separation=1e39)
+    _assert_bad_source_is_config_error(tmp_path, capsys, command, source, "binary32")
 
 
 # report

@@ -1,7 +1,9 @@
 """Dataset loaders, model files and lineage reports."""
 
+import hashlib
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from evosynth.dataio import (
     load_model_meta,
     save_lineage_report,
     save_model,
+    synth_gaussian_rows,
     synth_gaussians,
 )
 from evosynth.errors import (
@@ -33,7 +36,7 @@ from evosynth.errors import (
 )
 from evosynth.evolution import EvolutionConfig, GenerationRecord, Lineage
 from evosynth.halfprec import TO_INFINITY, PrecisionPolicy, encode_array, quantize_network
-from evosynth.netcore import ACTIVATIONS, LayerSpec, init_network
+from evosynth.netcore import ACTIVATIONS, LayerSpec, init_network, validation_split
 
 
 # CSV datasets
@@ -261,6 +264,72 @@ def test_gaussians_separation_is_usable():
 def test_gaussians_rejects_bad_params(kwargs):
     with pytest.raises(InvalidParam):
         synth_gaussians(seed=0, **kwargs)
+
+
+# sha256 of synth_gaussians(...).features.tobytes(): the acceptance and
+# lineage-wide training sets (seed 0) and the bench's held-out sets (seed 2**32)
+SYNTH_DIGESTS = [
+    ((500, 16, 3.0, 0), "ff52061086e2f45f1adabc52f200869bd1d557c0e9ef7be22e25ac428cbd9d50"),
+    ((500, 256, 3.0, 0), "be276d4cf1a53f9244919d55656fdf9c26b928cf16b71e30772d618643b213d5"),
+    ((5000, 16, 3.0, 2**32), "6ec2b84ea2716972e670cea820bcd0ecc03877bd6b5666f048accfa9fa0fd040"),
+    ((5000, 256, 3.0, 2**32), "1a8a59fb944c38d89df89c55f40c3ed814d25b175e5fbe24c7c9a9e42dfc6661"),
+]
+
+
+@pytest.mark.parametrize("params, digest", SYNTH_DIGESTS, ids=[str(p[:2]) for p, _ in SYNTH_DIGESTS])
+def test_gaussians_bytes_are_pinned(params, digest):
+    assert hashlib.sha256(synth_gaussians(*params).features.tobytes()).hexdigest() == digest
+
+
+def _row_sets(n):
+    return {
+        "all": np.arange(n),
+        "validation": validation_split(n, 0.2, 77)[1],
+        "unsorted": np.array([n - 2, 3, 0, n // 2, 1, n - 1, 2]),
+        "repeats": np.array([4, 4, n - 1, 0, 4, n - 1, 0]),
+        "last": np.array([n - 1]),
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32, 2**64 - 1])
+@pytest.mark.parametrize("n_features", [1, 2, 3, 7, 16, 331])
+def test_gaussian_rows_equal_the_indexed_dataset(n_features, seed):
+    n_per_class = 13
+    whole = synth_gaussians(n_per_class, n_features, 2.5, seed)
+    for name, rows in _row_sets(2 * n_per_class).items():
+        part = synth_gaussian_rows(n_per_class, n_features, 2.5, seed, rows=rows)
+        assert part.features.dtype == np.float32, name
+        assert part.features.shape == (len(rows), n_features), name
+        assert part.features.tobytes() == whole.features[rows].tobytes(), name
+        assert part.labels.dtype == np.int64, name
+        np.testing.assert_array_equal(part.labels, whole.labels[rows], err_msg=name)
+        assert part.n_classes == 2
+
+
+@pytest.mark.parametrize("rows", [[-1], [26], [[0, 1]], [0.0], [True]],
+                         ids=["negative", "past-end", "2-d", "float", "bool"])
+def test_gaussian_rows_rejects_rows_outside_the_dataset(rows):
+    with pytest.raises(InvalidParam, match="rows"):
+        synth_gaussian_rows(13, 3, 2.0, rows=np.array(rows))
+
+
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+@pytest.mark.parametrize("separation", [1e39, 2 * F32_MAX * (1 + 2**-52), float("inf"), 10**400])
+@pytest.mark.parametrize("build", [synth_gaussians, lambda *a: synth_gaussian_rows(*a, rows=[0])],
+                         ids=["whole", "rows"])
+def test_gaussians_reject_separation_beyond_binary32(build, separation):
+    with pytest.raises(InvalidParam, match="binary32"):
+        build(2, 3, separation)
+
+
+def test_gaussians_accept_the_largest_binary32_centre():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ds = synth_gaussians(3, 2, 2 * F32_MAX)
+    assert np.isfinite(ds.features).all()
+    np.testing.assert_array_equal(ds.features[:, 0], [-F32_MAX] * 3 + [F32_MAX] * 3)
 
 
 # model files

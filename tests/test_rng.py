@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from evosynth import rng
-from evosynth.rng import GOLDEN_GAMMA, SplitMix64, mix64, permutation, substream, uniform_block
+from evosynth.rng import (
+    GOLDEN_GAMMA,
+    SplitMix64,
+    mix64,
+    permutation,
+    substream,
+    uniform_at,
+    uniform_block,
+)
 
 # Published splitmix64 output stream for seed 0 (first three values).
 SEED0_STREAM = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
@@ -156,3 +164,11 @@ def test_permutation_common_path_makes_no_scalar_draws(monkeypatch):
     for seed in range(5):
         permutation(800, seed)
     assert calls == []
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_uniform_at_reads_the_block_at_any_positions(seed):
+    block = uniform_block(seed, 1000)
+    for positions in ([999], [0, 1, 2], [500, 3, 3, 999, 0], np.arange(1000), []):
+        got = uniform_at(seed, np.array(positions, dtype=np.int64))
+        assert got.tobytes() == block[np.array(positions, dtype=np.int64)].tobytes()

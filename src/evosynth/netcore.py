@@ -34,12 +34,19 @@ mask is all ones skips the multiply by its mask (x * 1.0 = x). Each epoch
 gathers its shuffled rows, labels and one-hot rows once, and each batch
 takes slices of them.
 
-Inference runs the same sub-network, but keeps every input column, so a
-NaN in an unread feature still ends in ``NumericFailure``: an exact rule
-without those columns would need an ``isfinite`` pass over every batch.
-The first ``forward``, ``forward_batch`` or ``mean_loss`` call on a
-network prepares its plan once (``_plan``): the float64 live blocks, kept
-on the network while ``net.layers`` holds the same array objects.
+Inference runs the same sub-network, with the same first-layer input
+columns. Features that are already floating point are taken as given, and
+only the read columns are gathered and converted to float64. A NaN or inf
+in a dropped column still ends as it did when every column was read,
+where NaN * 0.0 and inf * 0.0 are NaN: ``forward`` and ``forward_batch``
+raise ``NumericFailure``, and ``mean_loss`` returns NaN. One ``isfinite``
+pass over the features as given rules that out, and it costs less than
+converting every column did. Each layer adds its bias and applies its
+activation in place on the matmul output, the same IEEE operations as the
+plain spelling; training shares that kernel. The first ``forward``,
+``forward_batch`` or ``mean_loss`` call on a network prepares its plan
+once (``_plan``): the float64 live blocks and the input columns they read,
+kept on the network while ``net.layers`` holds the same array objects.
 Preparing it clears the ``writeable`` flag of every layer array, so a
 network that has run inference is immutable in fact: an in-place write
 raises instead of leaving the plan stale, and new values go in new arrays
@@ -118,7 +125,7 @@ class Network:
     layers: list[DenseLayer]
     generation: int = 1
     precision_tag: str = FULL
-    # (the layer objects it was built from, (ws, bs, acts)); see _plan
+    # (the layer objects it was built from, (ws, bs, acts, keep, drop)); see _plan
     _plan: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -227,19 +234,28 @@ def init_network(spec: Sequence[LayerSpec], seed: int) -> Network:
 
 
 def _apply_activation(z: np.ndarray, kind: str) -> np.ndarray:
+    """relu or sigmoid of ``z``, written over ``z``: the same IEEE operations
+    as ``np.maximum(z, 0.0)`` and ``1.0 / (1.0 + np.exp(-z))``."""
     if kind == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     with np.errstate(over="ignore"):  # exp(-z) is inf below z = -709; 1 / (1 + inf) is 0.0
-        return 1.0 / (1.0 + np.exp(-z))
+        np.exp(np.negative(z, out=z), out=z)
+        z += 1.0
+        return np.divide(1.0, z, out=z)
 
 
 def _forward_core(ws, bs, acts, x):
-    """Returns (per-layer post-activations incl. input, logits)."""
+    """Returns (per-layer post-activations incl. input, logits).
+
+    Each layer's bias and activation are applied in place on its matmul
+    output; ``x`` is not written.
+    """
     a = x
     activations = [a]
     logits = None
     for i, (w, b) in enumerate(zip(ws, bs)):
-        z = a @ w.T + b
+        z = a @ w.T
+        z += b
         if i == len(ws) - 1:
             logits = z
         else:
@@ -292,16 +308,18 @@ def _live_params(layers: Sequence[DenseLayer]):
     """The backward-live sub-network (``_live_rows``) as float64 blocks.
 
     Returns ``(ws, bs, acts, masks, blocks)``: per layer the masked
-    weights and the mask restricted to the live rows and to the columns
-    of the previous layer's live rows (every input column and every
-    output row is kept; ``train`` then drops the input columns no live
-    row reads, and the plan keeps them), the live biases, the activation
-    and the ``(rows, cols)`` boolean selectors. Weight blocks are
-    C-contiguous (see the module docstring); ``w[:, cols]`` alone would be
-    F-ordered.
+    weights and the mask restricted to the live rows and to the live
+    columns, the live biases, the activation and the ``(rows, cols)``
+    boolean selectors. Every output row is kept. A hidden layer's live
+    columns are the previous layer's live rows; the first layer's are the
+    input columns that some live row reads (``masks[0].any(axis=0)``),
+    since the live rows hold masked +0.0 in every other column. Weight
+    blocks are C-contiguous (see the module docstring); ``w[:, cols]``
+    alone would be F-ordered.
     """
     live = _live_rows([l.mask for l in layers])
-    blocks = list(zip(live, [np.ones(layers[0].weights.shape[1], dtype=bool)] + live[:-1]))
+    inputs = layers[0].mask[live[0]].any(axis=0)
+    blocks = list(zip(live, [inputs] + live[:-1]))
     ws, bs, masks = [], [], []
     for layer, (rows, cols) in zip(layers, blocks):
         m = layer.mask[rows][:, cols]
@@ -312,7 +330,13 @@ def _live_params(layers: Sequence[DenseLayer]):
 
 
 def _plan(net: Network):
-    """``(ws, bs, acts)`` of ``net``'s live sub-network, prepared once.
+    """``(ws, bs, acts, keep, drop)`` of ``net``'s live sub-network, prepared once.
+
+    ``ws``, ``bs`` and ``acts`` are ``_live_params``' blocks, so the first
+    layer reads only the input columns ``keep`` (indices, or None when it
+    reads every column). ``drop`` indexes the other columns, or is None
+    when no live first-layer row could carry a NaN from them (nothing is
+    dropped, or the first layer has no live row); see ``_plan_input``.
 
     The plan is kept while every layer holds the same weights, mask, bias
     and activation objects (compared with ``is``). Preparing it clears the
@@ -326,14 +350,44 @@ def _plan(net: Network):
     for layer in net.layers:
         for array in (layer.weights, layer.mask, layer.bias):
             array.flags.writeable = False
-    ws, bs, acts, _, _ = _live_params(net.layers)
-    net._plan = (source, (ws, bs, acts))
+    ws, bs, acts, _, blocks = _live_params(net.layers)
+    cols = blocks[0][1]
+    keep = None if cols.all() else np.flatnonzero(cols)
+    drop = None if keep is None or len(ws[0]) == 0 else np.flatnonzero(~cols)
+    net._plan = (source, (ws, bs, acts, keep, drop))
     return net._plan[1]
 
 
+def _columns(x: np.ndarray, keep) -> np.ndarray:
+    """The columns ``keep`` (indices, or None for all) of the 2-D floating
+    ``x`` as float64; a gathered copy is C-contiguous."""
+    if keep is None:
+        return np.asarray(x, dtype=np.float64)
+    return x.take(keep, axis=1).astype(np.float64)
+
+
+def _plan_input(plan, x: np.ndarray) -> np.ndarray | None:
+    """The float64 columns of the 2-D floating batch ``x`` that ``plan``
+    reads, or None if a column it drops holds a NaN or inf.
+
+    Reading every column multiplies each one by the live first-layer
+    weights, masked 0.0 included, and NaN * 0.0 and inf * 0.0 are NaN, so
+    None stands for NaN results. One ``isfinite`` pass over ``x`` as given
+    clears it; only an input with a NaN or inf somewhere has its dropped
+    columns looked at.
+    """
+    _, _, _, keep, drop = plan
+    if drop is not None and not np.isfinite(x).all() and not np.isfinite(x[:, drop]).all():
+        return None
+    return _columns(x, keep)
+
+
 def _probabilities(plan, x: np.ndarray) -> np.ndarray:
-    """float32 class probabilities of the float64 batch ``x`` under a plan."""
-    ws, bs, acts = plan
+    """float32 class probabilities of the 2-D floating batch ``x`` under a plan."""
+    ws, bs, acts, _, _ = plan
+    x = _plan_input(plan, x)
+    if x is None:  # NaN * 0.0 in the first layer
+        raise NumericFailure("non-finite class probability")
     with np.errstate(invalid="ignore"):  # a +inf logit makes inf - inf; caught below
         _, logits = _forward_core(ws, bs, acts, x)
         probs = np.exp(_log_softmax(logits)).astype(np.float32)
@@ -348,10 +402,17 @@ def _check_finite(net: Network):
             raise NumericFailure(f"non-finite parameter in layer {i}")
 
 
+def _floating(values) -> np.ndarray:
+    """``values`` as an array: a floating-point one as given, anything else as float64."""
+    x = np.asarray(values)
+    return x if x.dtype.kind == "f" else np.asarray(values, dtype=np.float64)
+
+
 def _batch(net: Network, inputs, labels=None):
-    """``(x, y)``: float64 features for ``net`` and, unless ``labels`` is
-    None, their int64 labels, which must make a non-empty batch."""
-    x = np.asarray(inputs, dtype=np.float64)
+    """``(x, y)``: 2-D floating features for ``net`` (``_floating``) and,
+    unless ``labels`` is None, their int64 labels, which must make a
+    non-empty batch."""
+    x = _floating(inputs)
     if x.ndim != 2 or x.shape[1] != net.in_dim:
         raise ShapeMismatch(f"batch features must be [n, {net.in_dim}], got {x.shape}")
     if labels is None:
@@ -372,7 +433,7 @@ def _loss(ws, bs, acts, x, y) -> float:
 
 def forward(net: Network, input: Sequence[float]) -> np.ndarray:
     """Class probabilities for one input vector (softmax over the last layer)."""
-    x = np.asarray(input, dtype=np.float64)
+    x = _floating(input)
     if x.ndim != 1 or x.shape[0] != net.in_dim:
         raise ShapeMismatch(f"input must have length {net.in_dim}, got shape {x.shape}")
     return _probabilities(_plan(net), x[None])[0]
@@ -390,7 +451,9 @@ def forward_batch(net: Network, inputs: np.ndarray) -> np.ndarray:
 def mean_loss(net: Network, batch_inputs: np.ndarray, batch_labels: np.ndarray) -> float:
     """Mean cross-entropy of the batch under the network's predictions."""
     x, y = _batch(net, batch_inputs, batch_labels)
-    return _loss(*_plan(net), x, y)
+    plan = _plan(net)
+    x = _plan_input(plan, x)
+    return math.nan if x is None else _loss(*plan[:3], x, y)
 
 
 def _grad_masks(masks: Sequence[np.ndarray]) -> list:
@@ -432,8 +495,9 @@ def gradients(net: Network, batch_inputs: np.ndarray, batch_labels: np.ndarray) 
     ws, bs, acts = _working_params(net)
     w_grads = [np.empty_like(w) for w in ws]
     b_grads = [np.empty_like(b) for b in bs]
-    loss = _backprop(ws, bs, acts, _grad_masks([l.mask for l in net.layers]), x, y,
-                     np.eye(net.n_classes)[y], w_grads, b_grads)
+    loss = _backprop(ws, bs, acts, _grad_masks([l.mask for l in net.layers]),
+                     np.asarray(x, dtype=np.float64), y, np.eye(net.n_classes)[y],
+                     w_grads, b_grads)
     return Gradients(weights=w_grads, biases=b_grads, loss=loss)
 
 
@@ -470,7 +534,8 @@ def train(net: Network, dataset: "Dataset", cfg: TrainConfig) -> tuple[Network, 
     SGD runs on the backward-live sub-network (``_live_rows``): the live
     rows and columns of each weight matrix, with every output row kept,
     and of the first layer only the input columns its live rows read (the
-    features are narrowed to them once, before the first epoch). Dead
+    features are checked as given, then only those columns are converted
+    to float64, once, before the first epoch). Dead
     neurons get exactly +-0 gradients in the dense computation, and a
     dropped column's weights are masked +0.0, so dead parameters come
     back as the dense loop leaves them: unchanged, or as ``x + 0.0``
@@ -505,11 +570,7 @@ def train(net: Network, dataset: "Dataset", cfg: TrainConfig) -> tuple[Network, 
         )
 
     ws, bs, acts, masks, blocks = _live_params(net.layers)
-    # layer 0 on the input columns its live mask uses; the others hold masked +0.0
-    cols = masks[0].any(axis=0)
-    ws[0], masks[0] = np.ascontiguousarray(ws[0][:, cols]), masks[0][:, cols]
-    blocks[0] = (blocks[0][0], cols)
-    x = np.ascontiguousarray(x[:, cols])
+    x = _columns(x, np.flatnonzero(blocks[0][1]))
     x_val, y_val = x[val_idx], y[val_idx]
 
     # weights, then biases, in one buffer each; ws and bs become views of params

@@ -272,6 +272,24 @@ def test_train_binary32_oracle():
 # and the dense inference path run on them, not on the kernels under test
 
 
+def _ref_forward_core(ws, bs, acts, x):
+    a = x
+    activations = [a]
+    logits = None
+    for i, (w, b) in enumerate(zip(ws, bs)):
+        z = a @ w.T + b
+        if i == len(ws) - 1:
+            logits = z
+        elif acts[i] == "relu":
+            a = np.maximum(z, 0.0)
+            activations.append(a)
+        else:
+            with np.errstate(over="ignore"):
+                a = 1.0 / (1.0 + np.exp(-z))
+            activations.append(a)
+    return activations, logits
+
+
 def _ref_log_softmax(logits):
     z = logits - logits.max(axis=1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
@@ -284,7 +302,7 @@ def _ref_nll(logp, y):
 def _dense_backprop(ws, bs, acts, masks, x, y):
     """``(w_grads, b_grads, loss)`` in fresh arrays; every mask is float64."""
     n = len(y)
-    activations, logits = _forward_core(ws, bs, acts, x)
+    activations, logits = _ref_forward_core(ws, bs, acts, x)
     logp = _ref_log_softmax(logits)
     loss = _ref_nll(logp, y)
     dz = np.exp(logp)
@@ -365,7 +383,7 @@ def _dense_train(net, dataset, cfg):
     vel_b = [np.zeros_like(b) for b in bs]
 
     def val_loss_of(cur_ws, cur_bs) -> float:
-        _, logits = _forward_core(cur_ws, cur_bs, acts, x_val)
+        _, logits = _ref_forward_core(cur_ws, cur_bs, acts, x_val)
         return _ref_nll(_ref_log_softmax(logits), y_val)
 
     log = TrainingLog()
@@ -639,15 +657,39 @@ def _assert_c_ordered_blocks(net):
 def _dense_probabilities(net, x):
     """The dense inference path forward_batch used before it had a plan."""
     ws, bs, acts = _working_params(net)
-    _, logits = _forward_core(ws, bs, acts, np.asarray(x, dtype=np.float64))
+    _, logits = _ref_forward_core(ws, bs, acts, np.asarray(x, dtype=np.float64))
     return np.exp(_ref_log_softmax(logits)).astype(np.float32)
 
 
-def _assert_plan_matches_dense(net, x, label, single_rows=40):
-    want = _dense_probabilities(net, x)
-    assert forward_batch(net, x).tobytes() == want.tobytes(), f"{label}: forward_batch"
-    for i in range(min(single_rows, len(x))):
-        assert forward(net, x[i]).tobytes() == want[i].tobytes(), f"{label}: forward row {i}"
+def _every_column_probabilities(net, x):
+    """The live sub-network on every input column, as inference ran before
+    its first layer was narrowed. On a NaN or inf input it is the reference,
+    not the dense path: there a dead neuron's inf or NaN also reaches the
+    output, through masked 0.0 weights."""
+    live = _live_rows([l.mask for l in net.layers])
+    cols = [np.ones(net.in_dim, dtype=bool)] + live[:-1]
+    ws = [np.ascontiguousarray(_masked(l.weights, l.mask)[r][:, c], dtype=np.float64)
+          for l, r, c in zip(net.layers, live, cols)]
+    bs = [l.bias[r].astype(np.float64) for l, r in zip(net.layers, live)]
+    with np.errstate(invalid="ignore"):  # inf * 0.0, inf - inf
+        _, logits = _ref_forward_core(ws, bs, [l.activation for l in net.layers],
+                                      np.asarray(x, dtype=np.float64))
+        return np.exp(_ref_log_softmax(logits)).astype(np.float32)
+
+
+def _assert_plan_matches_dense(net, x, label, single_rows=40, want=None):
+    """forward_batch and forward give ``want``, by default the dense
+    probabilities, bit for bit, and raise NumericFailure where it is not finite."""
+    want = _dense_probabilities(net, x) if want is None else want
+    cases = [(forward_batch, x, want, "forward_batch")]
+    cases += [(forward, x[i], want[i], f"forward row {i}")
+              for i in range(min(single_rows, len(x)))]
+    for call, rows, probs, name in cases:
+        if np.isfinite(probs).all():
+            assert call(net, rows).tobytes() == probs.tobytes(), f"{label}: {name}"
+        else:
+            with pytest.raises(NumericFailure, match="non-finite class probability"):
+                call(net, rows)
 
 
 @pytest.fixture(scope="module")
@@ -681,8 +723,10 @@ def test_plan_matches_dense_path_on_lineage(stored_lineages, shape, generation):
     assert all(r.all() for r in live) == (generation == 1), "only generation 1 is all live"
     _assert_plan_matches_dense(net, heldout, f"{shape} seed 1 generation {generation}")
     planned = [w.shape for w in netcore._plan(net)[0]]
-    assert planned == [(int(r.sum()), w.shape[1] if i == 0 else int(live[i - 1].sum()))
-                       for i, (r, w) in enumerate(zip(live, (l.weights for l in net.layers)))]
+    assert planned == [(int(r.sum()), _live_input_count(net) if i == 0 else int(live[i - 1].sum()))
+                       for i, r in enumerate(live)]
+    if (shape, generation) == ("wide", 13):
+        assert planned[0][1] <= 4, "wide generation 13 reads more input columns than it did"
     _assert_c_ordered_blocks(net)
 
 
@@ -699,13 +743,27 @@ def test_plan_matches_dense_path_with_dead_neurons(activation):
 
 
 def test_plan_matches_dense_path_on_random_masks():
+    # float64, float16, float32, int64 and nested-list inputs, and a NaN or
+    # inf in one read or dropped column, each activation on every other net;
+    # the narrowed first layer converts only its columns
     rng = np.random.default_rng(13)
+    narrowed = 0
     for k in range(200):
         widths = rng.integers(1, 9, size=rng.integers(2, 5)).tolist()
         widths[-1] = max(widths[-1], 2)
         net = _random_masked_net(rng, widths, rng.choice([0.2, 0.5, 0.9]),
-                                 rng.choice(["relu", "sigmoid"]))
-        _assert_plan_matches_dense(net, rng.normal(size=(16, widths[0])), f"net {k}", 4)
+                                 ("relu", "sigmoid")[k % 2])
+        x = rng.normal(scale=2.0, size=(16, widths[0]))
+        for kind, inputs in (("float64", x), ("float16", x.astype(np.float16)),
+                             ("float32", x.astype(np.float32)),
+                             ("int64", np.round(x).astype(np.int64)), ("list", x.tolist())):
+            _assert_plan_matches_dense(net, inputs, f"net {k} {kind}", 4)
+        bad = x.copy()
+        bad[3, k % widths[0]] = (np.nan, np.inf, -np.inf)[k % 3]
+        _assert_plan_matches_dense(net, bad, f"net {k} non-finite", 4,
+                                   want=_every_column_probabilities(net, bad))
+        narrowed += _live_input_count(net) < widths[0]
+    assert narrowed > 50, "too few nets drop an input column: the case tests little"
 
 
 def test_plan_freezes_the_arrays_it_was_built_from():
@@ -751,6 +809,41 @@ def test_forward_batch_rejects_non_finite_probabilities():
     net = net.copy()
     net.layers[2].bias[0] = -np.inf  # a class that is never predicted is finite
     assert forward_batch(net, x)[:, 0].tolist() == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("column", ["dropped", "read"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_inference_on_non_finite_features(value, column, dtype):
+    """Input column 2 feeds no neuron; column 0 feeds both hidden neurons,
+    through negative weights. The dense arithmetic multiplies column 2 by
+    masked 0.0, and NaN * 0.0 and inf * 0.0 are NaN, so any NaN or inf there
+    is a numeric failure. In column 0 only +inf comes out finite: relu turns
+    -inf into 0.0, as it does the -1e6 that 1e6 gives."""
+    net = init_network([LayerSpec(3, 2), LayerSpec(2, 2)], seed=5)
+    net.layers[0].mask[:, 2] = 0
+    net.layers[0].weights[:, 2] = 0.0
+    net.layers[0].weights[:, 0] = [-1.0, -0.5]
+    x = np.random.default_rng(8).normal(size=(6, 3)).astype(dtype)
+    y = np.arange(6) % 2
+    bad = x.copy()
+    bad[4, 2 if column == "dropped" else 0] = value
+    assert forward(net, bad[0]).tobytes() == forward(net, x[0]).tobytes()
+    if column == "read" and value == np.inf:
+        big = x.copy()
+        big[4, 0] = 1e6
+        assert forward_batch(net, bad).tobytes() == forward_batch(net, big).tobytes()
+        assert forward(net, bad[4]).tobytes() == forward(net, big[4]).tobytes()
+        assert mean_loss(net, bad, y) == mean_loss(net, big, y)
+        assert math.isfinite(mean_loss(net, bad, y))
+        assert evaluate_classifier(net, bad, y) == evaluate_classifier(net, big, y)
+        return
+    for call in (lambda: forward_batch(net, bad), lambda: forward(net, bad[4]),
+                 lambda: evaluate_classifier(net, bad, y)):
+        with pytest.raises(NumericFailure, match="non-finite class probability"):
+            call()
+    with np.errstate(invalid="ignore"):  # a +inf hidden value makes inf - inf logits
+        assert math.isnan(mean_loss(net, bad, y))
 
 
 def test_train_returns_its_validation_split():

@@ -155,6 +155,7 @@ def load_csv_dataset(path: str) -> Dataset:
     n_features = len(header) - 1
     rows = []
     labels = []
+    linenos = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -184,6 +185,7 @@ def load_csv_dataset(path: str) -> Dataset:
             raise ParseError(f"{path} line {lineno}: label must be non-negative, got {label}")
         rows.append(values)
         labels.append(label)
+        linenos.append(lineno)
     if not rows:
         raise EmptyDataset(f"{path} has a header but no data rows")
     with np.errstate(over="ignore"):
@@ -191,8 +193,8 @@ def load_csv_dataset(path: str) -> Dataset:
         features = np.asarray(rows, dtype=np.float64).astype(np.float32)
     bad = ~np.isfinite(features)
     if bad.any():
-        row = int(np.argwhere(bad)[0][0])
-        raise NonFiniteFeature(f"{path} row {row + 2}: non-finite feature value")
+        row = linenos[int(np.argwhere(bad)[0][0])]
+        raise NonFiniteFeature(f"{path} row {row}: non-finite feature value")
     return Dataset(features=features, labels=np.asarray(labels, dtype=np.int64),
                    n_classes=max(labels) + 1)
 

@@ -17,11 +17,9 @@ The one bit such a neuron loses to SGD is a negative zero: the dense step
 adds a +0.0 velocity, and -0.0 + +0.0 is +0.0. So when the best epoch is
 not the starting state, dead parameters come back as ``x + 0.0``.
 ``train`` also leaves out the input columns that no live first-layer
-neuron reads, whose weights are all masked +0.0. The dense loss would turn
-a NaN or inf in such a column into NaN (NaN * 0.0), so ``train`` rejects a
-non-finite feature up front. Every live weight block is stored
-C-contiguous, the layout of a whole layer, so the float64 loss curves
-differ from the dense loop's only where BLAS sums fewer zero terms.
+neuron reads, whose weights are all masked +0.0. Every live weight block
+is stored C-contiguous, the layout of a whole layer, so the float64 loss
+curves differ from the dense loop's only where BLAS sums fewer zero terms.
 
 The SGD loop is shaped to make few numpy calls per batch, each one the
 same IEEE operation, in the same order, as the plain spelling kept in
@@ -36,14 +34,10 @@ takes slices of them.
 
 Inference runs the same sub-network, with the same first-layer input
 columns. Features that are already floating point are taken as given, and
-only the read columns are gathered and converted to float64. A NaN or inf
-in a dropped column still ends as it did when every column was read,
-where NaN * 0.0 and inf * 0.0 are NaN: ``forward`` and ``forward_batch``
-raise ``NumericFailure``, and ``mean_loss`` returns NaN. One ``isfinite``
-pass over the features as given rules that out, and it costs less than
-converting every column did. Each layer adds its bias and applies its
-activation in place on the matmul output, the same IEEE operations as the
-plain spelling; training shares that kernel. The first ``forward``,
+only the read columns are gathered and converted to float64. Each layer
+adds its bias and applies its activation in place on the matmul output,
+the same IEEE operations as the plain spelling; training shares that
+kernel. The first ``forward``,
 ``forward_batch`` or ``mean_loss`` call on a network prepares its plan
 once (``_plan``): the float64 live blocks and the input columns they read,
 kept on the network while ``net.layers`` holds the same array objects.
@@ -51,6 +45,14 @@ Preparing it clears the ``writeable`` flag of every layer array, so a
 network that has run inference is immutable in fact: an in-place write
 raises instead of leaving the plan stale, and new values go in new arrays
 (``copy()`` returns writable ones).
+
+Features must be finite. Every entry point that takes them (``forward``,
+``forward_batch``, ``mean_loss``, ``gradients``, ``evaluate_classifier``
+and ``train``) raises ``NumericFailure("non-finite feature value")`` for
+a NaN or inf anywhere in its input, read column or not, before any
+arithmetic: one ``isfinite`` pass in ``_batch``. A column that the live
+sub-network leaves out therefore never decides an outcome that the dense
+arithmetic (where NaN * 0.0 and inf * 0.0 are NaN) would decide otherwise.
 """
 
 from __future__ import annotations
@@ -125,7 +127,7 @@ class Network:
     layers: list[DenseLayer]
     generation: int = 1
     precision_tag: str = FULL
-    # (the layer objects it was built from, (ws, bs, acts, keep, drop)); see _plan
+    # (the layer objects it was built from, (ws, bs, acts, keep)); see _plan
     _plan: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -330,13 +332,12 @@ def _live_params(layers: Sequence[DenseLayer]):
 
 
 def _plan(net: Network):
-    """``(ws, bs, acts, keep, drop)`` of ``net``'s live sub-network, prepared once.
+    """``(ws, bs, acts, keep)`` of ``net``'s live sub-network, prepared once.
 
     ``ws``, ``bs`` and ``acts`` are ``_live_params``' blocks, so the first
     layer reads only the input columns ``keep`` (indices, or None when it
-    reads every column). ``drop`` indexes the other columns, or is None
-    when no live first-layer row could carry a NaN from them (nothing is
-    dropped, or the first layer has no live row); see ``_plan_input``.
+    reads every column). Skipping the others is exact because features are
+    finite (``_batch``): their masked +0.0 weights add nothing.
 
     The plan is kept while every layer holds the same weights, mask, bias
     and activation objects (compared with ``is``). Preparing it clears the
@@ -353,8 +354,7 @@ def _plan(net: Network):
     ws, bs, acts, _, blocks = _live_params(net.layers)
     cols = blocks[0][1]
     keep = None if cols.all() else np.flatnonzero(cols)
-    drop = None if keep is None or len(ws[0]) == 0 else np.flatnonzero(~cols)
-    net._plan = (source, (ws, bs, acts, keep, drop))
+    net._plan = (source, (ws, bs, acts, keep))
     return net._plan[1]
 
 
@@ -366,30 +366,11 @@ def _columns(x: np.ndarray, keep) -> np.ndarray:
     return x.take(keep, axis=1).astype(np.float64)
 
 
-def _plan_input(plan, x: np.ndarray) -> np.ndarray | None:
-    """The float64 columns of the 2-D floating batch ``x`` that ``plan``
-    reads, or None if a column it drops holds a NaN or inf.
-
-    Reading every column multiplies each one by the live first-layer
-    weights, masked 0.0 included, and NaN * 0.0 and inf * 0.0 are NaN, so
-    None stands for NaN results. One ``isfinite`` pass over ``x`` as given
-    clears it; only an input with a NaN or inf somewhere has its dropped
-    columns looked at.
-    """
-    _, _, _, keep, drop = plan
-    if drop is not None and not np.isfinite(x).all() and not np.isfinite(x[:, drop]).all():
-        return None
-    return _columns(x, keep)
-
-
 def _probabilities(plan, x: np.ndarray) -> np.ndarray:
-    """float32 class probabilities of the 2-D floating batch ``x`` under a plan."""
-    ws, bs, acts, _, _ = plan
-    x = _plan_input(plan, x)
-    if x is None:  # NaN * 0.0 in the first layer
-        raise NumericFailure("non-finite class probability")
+    """float32 class probabilities of the 2-D finite floating batch ``x`` under a plan."""
+    ws, bs, acts, keep = plan
     with np.errstate(invalid="ignore"):  # a +inf logit makes inf - inf; caught below
-        _, logits = _forward_core(ws, bs, acts, x)
+        _, logits = _forward_core(ws, bs, acts, _columns(x, keep))
         probs = np.exp(_log_softmax(logits)).astype(np.float32)
     if not np.isfinite(probs).all():
         raise NumericFailure("non-finite class probability")
@@ -409,12 +390,14 @@ def _floating(values) -> np.ndarray:
 
 
 def _batch(net: Network, inputs, labels=None):
-    """``(x, y)``: 2-D floating features for ``net`` (``_floating``) and,
-    unless ``labels`` is None, their int64 labels, which must make a
-    non-empty batch."""
+    """``(x, y)``: 2-D finite floating features for ``net`` (``_floating``)
+    and, unless ``labels`` is None, their int64 labels, which must make a
+    non-empty batch. This is the one finiteness check for features."""
     x = _floating(inputs)
     if x.ndim != 2 or x.shape[1] != net.in_dim:
         raise ShapeMismatch(f"batch features must be [n, {net.in_dim}], got {x.shape}")
+    if not np.isfinite(x).all():
+        raise NumericFailure("non-finite feature value")
     if labels is None:
         return x, None
     y = np.asarray(labels, dtype=np.int64)
@@ -436,13 +419,14 @@ def forward(net: Network, input: Sequence[float]) -> np.ndarray:
     x = _floating(input)
     if x.ndim != 1 or x.shape[0] != net.in_dim:
         raise ShapeMismatch(f"input must have length {net.in_dim}, got shape {x.shape}")
-    return _probabilities(_plan(net), x[None])[0]
+    x, _ = _batch(net, x[None])
+    return _probabilities(_plan(net), x)[0]
 
 
 def forward_batch(net: Network, inputs: np.ndarray) -> np.ndarray:
     """Class probabilities for a batch, [n, n_classes] float32.
 
-    A NaN or infinite probability raises ``NumericFailure``.
+    A NaN or infinite feature or probability raises ``NumericFailure``.
     """
     x, _ = _batch(net, inputs)
     return _probabilities(_plan(net), x)
@@ -451,9 +435,8 @@ def forward_batch(net: Network, inputs: np.ndarray) -> np.ndarray:
 def mean_loss(net: Network, batch_inputs: np.ndarray, batch_labels: np.ndarray) -> float:
     """Mean cross-entropy of the batch under the network's predictions."""
     x, y = _batch(net, batch_inputs, batch_labels)
-    plan = _plan(net)
-    x = _plan_input(plan, x)
-    return math.nan if x is None else _loss(*plan[:3], x, y)
+    ws, bs, acts, keep = _plan(net)
+    return _loss(ws, bs, acts, _columns(x, keep), y)
 
 
 def _grad_masks(masks: Sequence[np.ndarray]) -> list:
@@ -533,10 +516,9 @@ def train(net: Network, dataset: "Dataset", cfg: TrainConfig) -> tuple[Network, 
 
     SGD runs on the backward-live sub-network (``_live_rows``): the live
     rows and columns of each weight matrix, with every output row kept,
-    and of the first layer only the input columns its live rows read (the
-    features are checked as given, then only those columns are converted
-    to float64, once, before the first epoch). Dead
-    neurons get exactly +-0 gradients in the dense computation, and a
+    and of the first layer only the input columns its live rows read (only
+    those columns are converted to float64, once, before the first epoch).
+    Dead neurons get exactly +-0 gradients in the dense computation, and a
     dropped column's weights are masked +0.0, so dead parameters come
     back as the dense loop leaves them: unchanged, or as ``x + 0.0``
     (which turns -0.0 into +0.0, as the dense SGD step does) when
@@ -544,8 +526,9 @@ def train(net: Network, dataset: "Dataset", cfg: TrainConfig) -> tuple[Network, 
     terms: the float64 loss curves can differ from the dense ones by a
     few ulps, and tests/test_netcore.py checks the binary32 result
     against the dense loop bit for bit. A NaN or infinite parameter
-    anywhere in ``net``, or feature anywhere in ``dataset``, raises
-    ``NumericFailure`` before any work is done.
+    anywhere in ``net``, or feature anywhere in ``dataset`` (the one rule
+    for features, see the module docstring), raises ``NumericFailure``
+    before any work is done.
 
     The live parameters, velocities and gradients are one flat buffer each,
     with a C-contiguous view per layer: the momentum step is three calls
@@ -557,8 +540,6 @@ def train(net: Network, dataset: "Dataset", cfg: TrainConfig) -> tuple[Network, 
     """
     _check_finite(net)
     x, y = _batch(net, dataset.features, dataset.labels)
-    if not np.isfinite(x).all():  # a dropped column would hide it from the loss
-        raise NumericFailure("non-finite feature value")
     if len(np.unique(y)) < 2:
         raise InvalidLabel("dataset must contain at least 2 represented classes")
 

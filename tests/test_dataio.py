@@ -112,9 +112,12 @@ def test_csv_missing_file():
 
 
 def test_csv_infinite_feature_rejected(tmp_path):
-    p = _write(tmp_path / "d.csv", "x0,label\n1.0,0\ninf,1\n")
-    with pytest.raises(NonFiniteFeature, match="row 3"):
-        load_csv_dataset(p)
+    # the file line of the row, blank lines counted
+    for text, line in (("x0,label\n1.0,0\ninf,1\n", 3),
+                       ("a,b,label\n1,2,0\n\n\n3,inf,1\n", 5)):
+        p = _write(tmp_path / "d.csv", text)
+        with pytest.raises(NonFiniteFeature, match=f"row {line}: non-finite feature value"):
+            load_csv_dataset(p)
 
 
 def test_csv_overflow_to_float32_rejected(tmp_path):

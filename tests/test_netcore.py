@@ -661,26 +661,10 @@ def _dense_probabilities(net, x):
     return np.exp(_ref_log_softmax(logits)).astype(np.float32)
 
 
-def _every_column_probabilities(net, x):
-    """The live sub-network on every input column, as inference ran before
-    its first layer was narrowed. On a NaN or inf input it is the reference,
-    not the dense path: there a dead neuron's inf or NaN also reaches the
-    output, through masked 0.0 weights."""
-    live = _live_rows([l.mask for l in net.layers])
-    cols = [np.ones(net.in_dim, dtype=bool)] + live[:-1]
-    ws = [np.ascontiguousarray(_masked(l.weights, l.mask)[r][:, c], dtype=np.float64)
-          for l, r, c in zip(net.layers, live, cols)]
-    bs = [l.bias[r].astype(np.float64) for l, r in zip(net.layers, live)]
-    with np.errstate(invalid="ignore"):  # inf * 0.0, inf - inf
-        _, logits = _ref_forward_core(ws, bs, [l.activation for l in net.layers],
-                                      np.asarray(x, dtype=np.float64))
-        return np.exp(_ref_log_softmax(logits)).astype(np.float32)
-
-
-def _assert_plan_matches_dense(net, x, label, single_rows=40, want=None):
-    """forward_batch and forward give ``want``, by default the dense
-    probabilities, bit for bit, and raise NumericFailure where it is not finite."""
-    want = _dense_probabilities(net, x) if want is None else want
+def _assert_plan_matches_dense(net, x, label, single_rows=40):
+    """forward_batch and forward give the dense probabilities bit for bit,
+    and raise NumericFailure where they are not finite."""
+    want = _dense_probabilities(net, x)
     cases = [(forward_batch, x, want, "forward_batch")]
     cases += [(forward, x[i], want[i], f"forward row {i}")
               for i in range(min(single_rows, len(x)))]
@@ -743,9 +727,9 @@ def test_plan_matches_dense_path_with_dead_neurons(activation):
 
 
 def test_plan_matches_dense_path_on_random_masks():
-    # float64, float16, float32, int64 and nested-list inputs, and a NaN or
-    # inf in one read or dropped column, each activation on every other net;
-    # the narrowed first layer converts only its columns
+    # float64, float16, float32, int64 and nested-list inputs, each
+    # activation on every other net; the narrowed first layer converts only
+    # its columns, and a NaN or inf in a read or dropped column is rejected
     rng = np.random.default_rng(13)
     narrowed = 0
     for k in range(200):
@@ -760,8 +744,9 @@ def test_plan_matches_dense_path_on_random_masks():
             _assert_plan_matches_dense(net, inputs, f"net {k} {kind}", 4)
         bad = x.copy()
         bad[3, k % widths[0]] = (np.nan, np.inf, -np.inf)[k % 3]
-        _assert_plan_matches_dense(net, bad, f"net {k} non-finite", 4,
-                                   want=_every_column_probabilities(net, bad))
+        for call, rows in ((forward_batch, bad), (forward, bad[3])):
+            with pytest.raises(NumericFailure, match="non-finite feature value"):
+                call(net, rows)
         narrowed += _live_input_count(net) < widths[0]
     assert narrowed > 50, "too few nets drop an input column: the case tests little"
 
@@ -811,39 +796,36 @@ def test_forward_batch_rejects_non_finite_probabilities():
     assert forward_batch(net, x)[:, 0].tolist() == [0.0, 0.0, 0.0]
 
 
+# every netcore entry point that takes features, called on (net, x, y)
+FEATURE_ENTRY_POINTS = {
+    "forward": lambda net, x, y: forward(net, x[4]),
+    "forward_batch": lambda net, x, y: forward_batch(net, x),
+    "mean_loss": mean_loss,
+    "gradients": gradients,
+    "evaluate_classifier": evaluate_classifier,
+    "train": lambda net, x, y: train(net, Dataset(x, y, 2), TrainConfig(max_epochs=0, seed=1)),
+}
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("column", ["dropped", "read"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
-def test_inference_on_non_finite_features(value, column, dtype):
-    """Input column 2 feeds no neuron; column 0 feeds both hidden neurons,
-    through negative weights. The dense arithmetic multiplies column 2 by
-    masked 0.0, and NaN * 0.0 and inf * 0.0 are NaN, so any NaN or inf there
-    is a numeric failure. In column 0 only +inf comes out finite: relu turns
-    -inf into 0.0, as it does the -1e6 that 1e6 gives."""
-    net = init_network([LayerSpec(3, 2), LayerSpec(2, 2)], seed=5)
+@pytest.mark.parametrize("entry", FEATURE_ENTRY_POINTS)
+def test_entry_points_reject_non_finite_features(entry, value, column, dtype):
+    """One rule for features: a NaN or inf anywhere is a numeric failure.
+    Input column 2 feeds no neuron, so the live sub-network never reads it;
+    column 0 feeds every hidden neuron through negative weights, where relu
+    would turn +inf into 0.0 and leave the probabilities finite."""
+    net = init_network([LayerSpec(3, 4), LayerSpec(4, 2)], seed=5)
     net.layers[0].mask[:, 2] = 0
     net.layers[0].weights[:, 2] = 0.0
-    net.layers[0].weights[:, 0] = [-1.0, -0.5]
-    x = np.random.default_rng(8).normal(size=(6, 3)).astype(dtype)
-    y = np.arange(6) % 2
-    bad = x.copy()
-    bad[4, 2 if column == "dropped" else 0] = value
-    assert forward(net, bad[0]).tobytes() == forward(net, x[0]).tobytes()
-    if column == "read" and value == np.inf:
-        big = x.copy()
-        big[4, 0] = 1e6
-        assert forward_batch(net, bad).tobytes() == forward_batch(net, big).tobytes()
-        assert forward(net, bad[4]).tobytes() == forward(net, big[4]).tobytes()
-        assert mean_loss(net, bad, y) == mean_loss(net, big, y)
-        assert math.isfinite(mean_loss(net, bad, y))
-        assert evaluate_classifier(net, bad, y) == evaluate_classifier(net, big, y)
-        return
-    for call in (lambda: forward_batch(net, bad), lambda: forward(net, bad[4]),
-                 lambda: evaluate_classifier(net, bad, y)):
-        with pytest.raises(NumericFailure, match="non-finite class probability"):
-            call()
-    with np.errstate(invalid="ignore"):  # a +inf hidden value makes inf - inf logits
-        assert math.isnan(mean_loss(net, bad, y))
+    net.layers[0].weights[:, 0] = [-1.0, -0.5, -0.25, -2.0]
+    x = np.random.default_rng(8).normal(size=(80, 3)).astype(dtype)
+    y = np.arange(80) % 2
+    FEATURE_ENTRY_POINTS[entry](net, x, y)  # finite features pass
+    x[4, 2 if column == "dropped" else 0] = value
+    with pytest.raises(NumericFailure, match="non-finite feature value"):
+        FEATURE_ENTRY_POINTS[entry](net, x, y)
 
 
 def test_train_returns_its_validation_split():
@@ -969,23 +951,6 @@ def test_train_rejects_non_finite_parameters(parameter, max_epochs):
         net.layers[0].weights[0, 0] = np.nan
     with pytest.raises(NumericFailure, match="non-finite parameter in layer 0"):
         train(net, _toy_dataset(), TrainConfig(max_epochs=max_epochs, seed=1))
-
-
-@pytest.mark.parametrize("max_epochs", [5, 0])
-@pytest.mark.parametrize("column", ["dead", "live"])
-@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
-def test_train_rejects_non_finite_features(value, column, max_epochs):
-    # input column 1 feeds no neuron, so training leaves it out; in the dense
-    # loss NaN * 0.0 and inf * 0.0 are NaN, and train keeps that rule by checking
-    net = init_network([LayerSpec(4, 6), LayerSpec(6, 2)], seed=3)
-    net.layers[0].mask[:, 1] = 0
-    net.layers[0].weights[:, 1] = 0.0
-    ds = _toy_dataset()
-    features = ds.features.copy()
-    features[7, 1 if column == "dead" else 0] = value
-    with pytest.raises(NumericFailure, match="non-finite feature value"):
-        train(net, Dataset(features, ds.labels, ds.n_classes),
-              TrainConfig(max_epochs=max_epochs, seed=1))
 
 
 def test_train_config_validation():

@@ -953,6 +953,23 @@ def test_train_rejects_non_finite_parameters(parameter, max_epochs):
         train(net, _toy_dataset(), TrainConfig(max_epochs=max_epochs, seed=1))
 
 
+@pytest.mark.parametrize("max_epochs", [5, 0])
+@pytest.mark.parametrize("column", ["dead", "live"])
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_train_rejects_non_finite_features(value, column, max_epochs):
+    # input column 1 feeds no neuron, so training leaves it out; the rule for
+    # features still holds there, with or without an epoch to run
+    net = init_network([LayerSpec(4, 6), LayerSpec(6, 2)], seed=3)
+    net.layers[0].mask[:, 1] = 0
+    net.layers[0].weights[:, 1] = 0.0
+    ds = _toy_dataset()
+    features = ds.features.copy()
+    features[7, 1 if column == "dead" else 0] = value
+    with pytest.raises(NumericFailure, match="non-finite feature value"):
+        train(net, Dataset(features, ds.labels, ds.n_classes),
+              TrainConfig(max_epochs=max_epochs, seed=1))
+
+
 def test_train_config_validation():
     for kwargs in (
         {"learning_rate": 0.0},

@@ -796,6 +796,102 @@ def test_forward_batch_rejects_non_finite_probabilities():
     assert forward_batch(net, x)[:, 0].tolist() == [0.0, 0.0, 0.0]
 
 
+# forward_batch and evaluate_classifier run a batch in row blocks; no block
+# boundary may change a byte
+
+
+def _block_length(net) -> int:
+    """Rows per block of ``_blocked_probabilities`` on ``net``."""
+    return max(1, netcore.BLOCK_VALUES // max(1, netcore._plan(net)[0][0].shape[1]))
+
+
+def _held_out_rows(net, n):
+    """``n`` held-out rows from ``synth_gaussians(5000, ...)``, repeated past 5000."""
+    x = synth_gaussians(5000, net.in_dim, 3.0, seed=2**32).features
+    return np.resize(x, (n, net.in_dim))
+
+
+def _assert_blocks_match_dense(net):
+    rows = _block_length(net)
+    x = _held_out_rows(net, 2 * rows + 17)
+    want = _dense_probabilities(net, x)
+    for n in (rows - 1, rows, rows + 1, 2 * rows + 17):
+        assert forward_batch(net, x[:n]).tobytes() == want[:n].tobytes(), f"{n} rows"
+    y = np.arange(len(x)) % 2
+    confusion = np.bincount(2 * y + want.argmax(axis=1), minlength=4).reshape(2, 2)
+    assert evaluate_classifier(net, x, y)["confusion"] == confusion.tolist()
+
+
+@pytest.mark.parametrize("generation", [1, 4, 7, 13])
+@pytest.mark.parametrize("shape", ["small", "wide"])
+def test_blocks_match_dense_path_on_lineage(stored_lineages, monkeypatch, shape, generation):
+    # 2**11 values per block keeps every batch within the 5000 held-out rows;
+    # wide generations 7 and 13 read one column, 2**18 rows a block at full size
+    monkeypatch.setattr(netcore, "BLOCK_VALUES", 2**11)
+    net = stored_lineages[shape][0][generation]
+    assert _block_length(net) == 2**11 // _live_input_count(net)
+    _assert_blocks_match_dense(net)
+
+
+@pytest.mark.parametrize("shape, rows", [("small", 16384), ("wide", 1024)])
+def test_block_length_follows_the_read_columns(stored_lineages, shape, rows):
+    # 2**18 float64 values; generation 1 reads every column, 16 small or 256 wide
+    net = stored_lineages[shape][0][1]
+    assert _block_length(net) == rows
+    _assert_blocks_match_dense(net)
+
+
+def test_forward_batch_on_zero_rows(stored_lineages):
+    net = stored_lineages["wide"][0][1]
+    probs = forward_batch(net, np.empty((0, net.in_dim), dtype=np.float32))
+    assert probs.shape == (0, net.n_classes) and probs.dtype == np.float32
+
+
+def test_blocks_run_a_net_whose_first_layer_reads_no_column():
+    net = init_network([LayerSpec(3, 4), LayerSpec(4, 2)], seed=5)
+    net.layers[0].mask[:] = 0
+    net.layers[0].weights[:] = 0.0
+    net.layers[0].bias[:] = [0.5, -1.0, 2.0, 0.25]
+    rows = _block_length(net)
+    assert netcore._plan(net)[0][0].shape == (4, 0) and rows == netcore.BLOCK_VALUES
+    x = np.random.default_rng(9).normal(size=(rows + 1, 3))
+    assert forward_batch(net, x).tobytes() == _dense_probabilities(net, x).tobytes()
+    assert forward(net, x[0]).tobytes() == _dense_probabilities(net, x[:1])[0].tobytes()
+
+
+def test_a_block_holds_a_row_wider_than_the_block():
+    net = init_network([LayerSpec(netcore.BLOCK_VALUES + 1, 2), LayerSpec(2, 2)], seed=3)
+    assert _block_length(net) == 1
+    x = np.random.default_rng(10).normal(size=(3, net.in_dim))
+    assert forward_batch(net, x).tobytes() == _dense_probabilities(net, x).tobytes()
+
+
+def test_blocks_reject_non_finite_values(stored_lineages):
+    net = stored_lineages["wide"][0][1]
+    x = _held_out_rows(net, 2 * _block_length(net) + 17)
+    y = np.arange(len(x)) % 2
+    bad = x.copy()
+    bad[-1, 5] = np.nan  # in the last block, after two whole ones
+    inf_bias = net.copy()
+    inf_bias.layers[-1].bias[0] = np.inf
+    for call in (forward_batch, lambda net, x: evaluate_classifier(net, x, y)):
+        with pytest.raises(NumericFailure, match="non-finite feature value"):
+            call(net, bad)
+        with pytest.raises(NumericFailure, match="non-finite class probability"):
+            call(inf_bias, x)
+
+
+@pytest.mark.parametrize("shape", ["small", "wide"])
+def test_mean_loss_is_not_blocked(stored_lineages, shape):
+    # its sum runs over every row, so a block would change its order
+    net = stored_lineages[shape][0][1]
+    x = _held_out_rows(net, _block_length(net) + 1)
+    y = np.arange(len(x)) % 2
+    ws, bs, acts = _working_params(net)
+    _, logits = _ref_forward_core(ws, bs, acts, np.asarray(x, dtype=np.float64))
+    assert mean_loss(net, x, y) == _ref_nll(_ref_log_softmax(logits), y)
+
+
 # every netcore entry point that takes features, called on (net, x, y)
 FEATURE_ENTRY_POINTS = {
     "forward": lambda net, x, y: forward(net, x[4]),

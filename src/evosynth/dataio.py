@@ -263,29 +263,42 @@ def check_synth_params(n_per_class: int, n_features: int, separation: float) -> 
         raise InvalidParam(f"2 * n_per_class * n_features = {count} values exceed any address space")
 
 
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """Normal deviates from the even-length uniforms ``u``, interleaved:
+    deviates 2i and 2i + 1 are the cosine and the sine of the Box-Muller
+    transform of uniforms 2i and 2i + 1."""
+    u1, u2 = u[0::2], u[1::2]
+    radius = np.sqrt(-2.0 * np.log1p(-u1))
+    angle = 2.0 * np.pi * u2
+    z = np.empty(u.size, dtype=np.float64)
+    z[0::2] = radius * np.cos(angle)
+    z[1::2] = radius * np.sin(angle)
+    return z
+
+
+def _two_classes(features: np.ndarray, second: np.ndarray, separation: float) -> Dataset:
+    """The float32 dataset of the float64 ``features``: row i is in class 1
+    where ``second[i]``, else in class 0, and its feature 0 moves (in place)
+    by +separation/2 or -separation/2."""
+    features[~second, 0] -= separation / 2.0
+    features[second, 0] += separation / 2.0
+    return Dataset(features=features.astype(np.float32), labels=second.astype(np.int64),
+                   n_classes=2)
+
+
 def synth_gaussians(n_per_class: int, n_features: int, separation: float,
                     seed: int = 0) -> Dataset:
     """Two unit-variance Gaussian blobs at -+separation/2 along feature 0.
 
-    Class 0 first, then class 1. Normal deviates come from a Box-Muller
-    transform over one deterministic uniform stream: flat value v is made
-    from uniforms 2 * (v // 2) and 2 * (v // 2) + 1.
+    Class 0 first, then class 1. Flat value v of the row-major features is
+    deviate v of ``_box_muller`` over the first uniforms of the stream: it
+    is made from uniforms 2 * (v // 2) and 2 * (v // 2) + 1.
     """
     check_synth_params(n_per_class, n_features, separation)
     count = 2 * n_per_class * n_features
-    pairs = (count + 1) // 2
-    u = uniform_block(seed, 2 * pairs)
-    u1, u2 = u[0::2], u[1::2]
-    radius = np.sqrt(-2.0 * np.log1p(-u1))
-    angle = 2.0 * np.pi * u2
-    z = np.empty(2 * pairs, dtype=np.float64)
-    z[0::2] = radius * np.cos(angle)
-    z[1::2] = radius * np.sin(angle)
-    features = z[:count].reshape(2 * n_per_class, n_features)
-    features[:n_per_class, 0] -= separation / 2.0
-    features[n_per_class:, 0] += separation / 2.0
-    labels = np.repeat(np.array([0, 1], dtype=np.int64), n_per_class)
-    return Dataset(features=features.astype(np.float32), labels=labels, n_classes=2)
+    z = _box_muller(uniform_block(seed, count + count % 2))
+    return _two_classes(z[:count].reshape(2 * n_per_class, n_features),
+                        np.arange(2 * n_per_class) >= n_per_class, separation)
 
 
 def synth_gaussian_rows(n_per_class: int, n_features: int, separation: float,
@@ -296,9 +309,8 @@ def synth_gaussian_rows(n_per_class: int, n_features: int, separation: float,
     `rows` (any 1-D integers in [0, 2 * n_per_class), in any order, with
     repeats), computed from only the stream draws those rows use: row r
     starts at flat value r * n_features, and its values come from the
-    (n_features + 1) // 2 Box-Muller pairs from (r * n_features) // 2 on.
-    For odd `n_features` a pair can span two rows. The arithmetic below
-    repeats `synth_gaussians`' operation for operation.
+    (n_features + 1) // 2 Box-Muller pairs from (r * n_features) // 2 on,
+    read with `uniform_at`. For odd `n_features` a pair can span two rows.
     """
     check_synth_params(n_per_class, n_features, separation)
     rows = np.asarray(rows)
@@ -308,20 +320,10 @@ def synth_gaussian_rows(n_per_class: int, n_features: int, separation: float,
     start = rows.astype(np.int64) * n_features
     width = (n_features + 1) // 2
     first = 2 * (start // 2)
-    u = uniform_at(seed, (first[:, None] + np.arange(2 * width)).ravel())
-    u1, u2 = u[0::2], u[1::2]
-    radius = np.sqrt(-2.0 * np.log1p(-u1))
-    angle = 2.0 * np.pi * u2
-    z = np.empty(u.size, dtype=np.float64)
-    z[0::2] = radius * np.cos(angle)
-    z[1::2] = radius * np.sin(angle)
-    z = z.reshape(len(rows), 2 * width)
-    features = np.take_along_axis(z, (start - first)[:, None] + np.arange(n_features), axis=1)
-    second = rows >= n_per_class
-    features[~second, 0] -= separation / 2.0
-    features[second, 0] += separation / 2.0
-    return Dataset(features=features.astype(np.float32), labels=second.astype(np.int64),
-                   n_classes=2)
+    z = _box_muller(uniform_at(seed, (first[:, None] + np.arange(2 * width)).ravel()))
+    features = np.take_along_axis(z.reshape(len(rows), 2 * width),
+                                  (start - first)[:, None] + np.arange(n_features), axis=1)
+    return _two_classes(features, rows >= n_per_class, separation)
 
 
 # model files

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DeadLayer
 from .netcore import Network, SynapseMask
-from .rng import uniform_block
+from .rng import uniform_layers
 
 
 @dataclass
@@ -97,13 +97,8 @@ def synthesize_offspring(dna: SynapticProbabilityModel, env: EnvironmentalFactor
     are left dead so the parent's zero structure is never violated.
     """
     qs = synthesis_probability(dna, env)
-    total = sum(q.size for q in qs)
-    draws = uniform_block(seed, total)
     masks = []
-    offset = 0
-    for q in qs:
-        u = draws[offset:offset + q.size].reshape(q.shape)
-        offset += q.size
+    for q, u in zip(qs, uniform_layers(seed, [q.shape for q in qs])):
         s = (u < q).astype(np.uint8)
         dead = (s.sum(axis=1) == 0) & (q.max(axis=1) > 0.0)
         s[dead, q[dead].argmax(axis=1)] = 1

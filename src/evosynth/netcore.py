@@ -33,8 +33,9 @@ gathers its shuffled rows, labels and one-hot rows once, and each batch
 takes slices of them.
 
 Inference runs the same sub-network, with the same first-layer input
-columns. Features that are already floating point are taken as given, and
-only the read columns are gathered and converted to float64. Each layer
+columns: ``_live_params`` names them once (``keep``) for both. Features
+that are already floating point are taken as given, and only the read
+columns are gathered and converted to float64. Each layer
 adds its bias and applies its activation in place on the matmul output,
 the same IEEE operations as the plain spelling; training shares that
 kernel. The first ``forward``,
@@ -78,7 +79,7 @@ from .errors import (
     NumericFailure,
     ShapeMismatch,
 )
-from .rng import permutation, substream, uniform_block
+from .rng import permutation, substream, uniform_layers
 
 if TYPE_CHECKING:
     from .dataio import Dataset
@@ -223,18 +224,12 @@ def init_network(spec: Sequence[LayerSpec], seed: int) -> Network:
     deterministic stream, consumed layer by layer in row-major order.
     """
     check_spec(spec)
-    total = sum(s.in_dim * s.out_dim for s in spec)
-    draws = uniform_block(seed, total)
     layers = []
-    offset = 0
-    for s in spec:
-        n = s.in_dim * s.out_dim
+    for s, u in zip(spec, uniform_layers(seed, [(s.out_dim, s.in_dim) for s in spec])):
         limit = np.sqrt(6.0 / (s.in_dim + s.out_dim))
-        w = ((2.0 * draws[offset:offset + n] - 1.0) * limit).astype(np.float32)
-        offset += n
         layers.append(
             DenseLayer(
-                weights=w.reshape(s.out_dim, s.in_dim),
+                weights=((2.0 * u - 1.0) * limit).astype(np.float32),
                 mask=np.ones((s.out_dim, s.in_dim), dtype=np.uint8),
                 bias=np.zeros(s.out_dim, dtype=np.float32),
                 activation=s.activation,
@@ -320,15 +315,16 @@ def _live_rows(masks: Sequence[np.ndarray]) -> list[np.ndarray]:
 def _live_params(layers: Sequence[DenseLayer]):
     """The backward-live sub-network (``_live_rows``) as float64 blocks.
 
-    Returns ``(ws, bs, acts, masks, blocks)``: per layer the masked
+    Returns ``(ws, bs, acts, masks, blocks, keep)``: per layer the masked
     weights and the mask restricted to the live rows and to the live
     columns, the live biases, the activation and the ``(rows, cols)``
-    boolean selectors. Every output row is kept. A hidden layer's live
-    columns are the previous layer's live rows; the first layer's are the
-    input columns that some live row reads (``masks[0].any(axis=0)``),
-    since the live rows hold masked +0.0 in every other column. Weight
-    blocks are C-contiguous (see the module docstring); ``w[:, cols]``
-    alone would be F-ordered.
+    boolean selectors, then the first layer's live columns as indices
+    (``keep``), or None when it reads every column. Every output row is
+    kept. A hidden layer's live columns are the previous layer's live
+    rows; the first layer's are the input columns that some live row reads
+    (``masks[0].any(axis=0)``), since the live rows hold masked +0.0 in
+    every other column. Weight blocks are C-contiguous (see the module
+    docstring); ``w[:, cols]`` alone would be F-ordered.
     """
     live = _live_rows([l.mask for l in layers])
     inputs = layers[0].mask[live[0]].any(axis=0)
@@ -339,7 +335,8 @@ def _live_params(layers: Sequence[DenseLayer]):
         ws.append(np.ascontiguousarray(_masked(layer.weights[rows][:, cols], m), dtype=np.float64))
         bs.append(layer.bias[rows].astype(np.float64))
         masks.append(m)
-    return ws, bs, [l.activation for l in layers], masks, blocks
+    keep = None if inputs.all() else np.flatnonzero(inputs)
+    return ws, bs, [l.activation for l in layers], masks, blocks, keep
 
 
 def _plan(net: Network):
@@ -362,9 +359,7 @@ def _plan(net: Network):
     for layer in net.layers:
         for array in (layer.weights, layer.mask, layer.bias):
             array.flags.writeable = False
-    ws, bs, acts, _, blocks = _live_params(net.layers)
-    cols = blocks[0][1]
-    keep = None if cols.all() else np.flatnonzero(cols)
+    ws, bs, acts, _, _, keep = _live_params(net.layers)
     net._plan = (source, (ws, bs, acts, keep))
     return net._plan[1]
 
@@ -578,8 +573,8 @@ def train(net: Network, dataset: "Dataset", cfg: TrainConfig) -> tuple[Network, 
             f"need at least one batch of {cfg.batch_size}"
         )
 
-    ws, bs, acts, masks, blocks = _live_params(net.layers)
-    x = _columns(x, np.flatnonzero(blocks[0][1]))
+    ws, bs, acts, masks, blocks, keep = _live_params(net.layers)
+    x = _columns(x, keep)
     x_val, y_val = x[val_idx], y[val_idx]
 
     # weights, then biases, in one buffer each; ws and bs become views of params

@@ -11,20 +11,21 @@ classic SplitMix64 sequence (Steele, Lea & Flood; the same generator Java
 ships as SplittableRandom). ``mix64`` is its finalizer. The first output
 for seed 0 is the published test vector 0xE220A8397B1DCDAF.
 
-Blocks of the stream (``uniform_block``, the swap targets of
-``permutation``) are computed as one wrapping uint64 vector, bit-identical
-to the sequential ``SplitMix64`` draws. ``permutation`` draws its swap
-targets one by one only when a draw in the block would be rejected.
-
 The stream is random access: output k depends on ``s`` and ``k`` alone,
 with no state carried from output k - 1. ``_outputs`` states the
-arithmetic once, for any vector of counters; ``uniform_at`` uses it to
-read the doubles at arbitrary positions without computing the ones
-before them (``dataio.synth_gaussian_rows`` builds single dataset rows
-this way).
+arithmetic once, for any vector of 0-based positions k, as
+``(s + GOLDEN_GAMMA) + k * GOLDEN_GAMMA`` in wrapping uint64, and every
+array of draws is read through it: ``uniform_block`` (the first doubles),
+``uniform_layers`` (those cut into one row-major array per shape, for
+weight init and offspring sampling), ``uniform_at`` (the doubles at any
+positions; ``dataio.synth_gaussian_rows`` builds single dataset rows this
+way) and the swap targets of ``permutation``, drawn one by one only when
+a draw in the block would be rejected.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -56,25 +57,18 @@ def substream(seed: int, index: int) -> int:
     return mix64((seed + (index + 1) * GOLDEN_GAMMA) & _MASK64)
 
 
-def _outputs(seed: int, ks: np.ndarray) -> np.ndarray:
-    """Raw outputs ``k - 1`` of the stream for the uint64 counters ``ks`` (k >= 1).
+def _outputs(seed: int, positions: np.ndarray) -> np.ndarray:
+    """Raw outputs of the stream at the 0-based uint64 ``positions``.
 
-    The whole stream arithmetic, elementwise: ``mix64(seed + k * GOLDEN_GAMMA)``.
-    numpy's uint64 arithmetic wraps modulo 2**64 like the scalar masks.
+    The whole stream arithmetic, elementwise: ``mix64((seed + GOLDEN_GAMMA)
+    + k * GOLDEN_GAMMA)`` at position k. numpy's uint64 arithmetic wraps
+    modulo 2**64 like the scalar masks.
     """
     with np.errstate(over="ignore"):
-        z = np.uint64(seed & _MASK64) + ks * np.uint64(GOLDEN_GAMMA)
+        z = np.uint64((seed + GOLDEN_GAMMA) & _MASK64) + positions * np.uint64(GOLDEN_GAMMA)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_K1)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_K2)
     return z ^ (z >> np.uint64(31))
-
-
-def _u64_block(seed: int, count: int) -> np.ndarray:
-    """First ``count`` raw outputs of the stream, as one uint64 vector.
-
-    Bit-identical to ``count`` successive ``SplitMix64.next_u64()`` calls.
-    """
-    return _outputs(seed, np.arange(1, count + 1, dtype=np.uint64))
 
 
 def uniform_block(seed: int, count: int) -> np.ndarray:
@@ -82,7 +76,15 @@ def uniform_block(seed: int, count: int) -> np.ndarray:
 
     Bit-identical to ``count`` successive ``SplitMix64.next_float()`` calls.
     """
-    return (_u64_block(seed, count) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    return (_outputs(seed, np.arange(count, dtype=np.uint64)) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+
+
+def uniform_layers(seed: int, shapes) -> list[np.ndarray]:
+    """``uniform_block`` of the total size, cut into one row-major array per
+    shape: the first array holds the first draws, the next the ones after."""
+    sizes = [math.prod(shape) for shape in shapes]
+    parts = np.split(uniform_block(seed, sum(sizes)), np.cumsum(sizes)[:-1])
+    return [part.reshape(shape) for part, shape in zip(parts, shapes)]
 
 
 def uniform_at(seed: int, positions) -> np.ndarray:
@@ -91,7 +93,7 @@ def uniform_at(seed: int, positions) -> np.ndarray:
     Equals ``uniform_block(seed, n)[positions]`` for any ``n`` past the
     largest position, at the cost of the positions asked for only.
     """
-    ks = np.asarray(positions, dtype=np.uint64) + np.uint64(1)
+    ks = np.asarray(positions, dtype=np.uint64)
     return (_outputs(seed, ks) >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
@@ -140,7 +142,7 @@ def _swap_targets(n: int, seed: int) -> list[int]:
     ``next_below`` call per position, which consumes the extra draws.
     """
     bounds = np.arange(n, 1, -1, dtype=np.uint64)  # i + 1 for i = n-1 .. 1
-    u = _u64_block(seed, n - 1)
+    u = _outputs(seed, np.arange(n - 1, dtype=np.uint64))
     if _rejected(u, bounds).any():
         gen = SplitMix64(seed)
         return [gen.next_below(b) for b in range(n, 1, -1)]

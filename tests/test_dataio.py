@@ -276,6 +276,10 @@ SYNTH_DIGESTS = [
     ((500, 256, 3.0, 0), "be276d4cf1a53f9244919d55656fdf9c26b928cf16b71e30772d618643b213d5"),
     ((5000, 16, 3.0, 2**32), "6ec2b84ea2716972e670cea820bcd0ecc03877bd6b5666f048accfa9fa0fd040"),
     ((5000, 256, 3.0, 2**32), "1a8a59fb944c38d89df89c55f40c3ed814d25b175e5fbe24c7c9a9e42dfc6661"),
+    # odd widths, where a Box-Muller pair spans two rows
+    ((13, 7, 2.5, 2**64 - 1), "ccadf303227724b37fd542e3f89e69766f3e1f8dd1e0221be9bf06dbcf3eb0be"),
+    ((50, 3, 2.0, 9), "4249e598fb7d350828d93cba9319f013c5376af4ea17aca40d41c3729f6e44e1"),
+    ((500, 255, 3.0, 0), "468711c514f23fae0db9b17795f7d84655d8ade846485331df91b6b69d94a0fc"),
 ]
 
 

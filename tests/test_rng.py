@@ -12,6 +12,7 @@ from evosynth.rng import (
     substream,
     uniform_at,
     uniform_block,
+    uniform_layers,
 )
 
 # Published splitmix64 output stream for seed 0 (first three values).
@@ -172,3 +173,16 @@ def test_uniform_at_reads_the_block_at_any_positions(seed):
     for positions in ([999], [0, 1, 2], [500, 3, 3, 999, 0], np.arange(1000), []):
         got = uniform_at(seed, np.array(positions, dtype=np.int64))
         assert got.tobytes() == block[np.array(positions, dtype=np.int64)].tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("k", [0, 2**63, 2**64 - 1])
+def test_uniform_at_wraps_at_the_top_of_the_positions(seed, k):
+    assert uniform_at(seed, [k])[0] == (substream(seed, k) >> 11) * 2**-53
+
+
+def test_uniform_layers_cut_the_block_row_major():
+    shapes = [(3, 4), (5, 1), (1, 7), (2, 2)]
+    parts = uniform_layers(99, shapes)
+    assert [p.shape for p in parts] == shapes
+    assert np.concatenate([p.ravel() for p in parts]).tobytes() == uniform_block(99, 28).tobytes()

@@ -51,7 +51,6 @@ from .evolution import (
 )
 from .genetics import (
     CalibrationResult,
-    EnvironmentalFactor,
     SynapticProbabilityModel,
     calibrate_alpha,
     encode_dna,
@@ -62,7 +61,6 @@ from .genetics import (
 from .halfprec import (
     MAX_FINITE_F16,
     NAN_F16,
-    PrecisionPolicy,
     SATURATE,
     TO_INFINITY,
     decode_array,
@@ -76,7 +74,6 @@ from .netcore import (
     Gradients,
     LayerSpec,
     Network,
-    SynapseMask,
     TrainConfig,
     TrainingLog,
     count_active_synapses,
@@ -92,4 +89,4 @@ from .netcore import (
     validation_split,
 )
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"

@@ -34,7 +34,7 @@ from .dataio import (
 )
 from .errors import ConfigError, EvoSynthError, IntegrityError, InvalidSpec, IoError, ParseError
 from .evolution import EvolutionConfig, evolve, training_seed
-from .halfprec import PrecisionPolicy, SATURATE, TO_INFINITY, quantize_network
+from .halfprec import SATURATE, TO_INFINITY, quantize_network
 from .netcore import (
     LayerSpec,
     TrainConfig,
@@ -308,8 +308,7 @@ def cmd_quantize(args) -> int:
     net, meta = load_model_and_meta(args.model)
     if meta.precision != "binary32":
         raise IntegrityError(f"{args.model}: expected a binary32 model, found {meta.precision}")
-    policy = PrecisionPolicy(overflow=TO_INFINITY if args.overflow == "inf" else SATURATE)
-    quantized = quantize_network(net, policy)
+    quantized = quantize_network(net, TO_INFINITY if args.overflow == "inf" else SATURATE)
     active = [l.mask != 0 for l in net.layers]
     orig = np.concatenate([l.weights[m] for l, m in zip(net.layers, active)]).astype(np.float64)
     quant = np.concatenate([l.weights[m] for l, m in zip(quantized.layers, active)])

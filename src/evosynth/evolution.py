@@ -105,7 +105,6 @@ class GenerationRecord:
 @dataclass
 class Lineage:
     records: list[GenerationRecord]
-    config: EvolutionConfig
     stop_reason: str = COMPLETED
 
 
@@ -140,14 +139,14 @@ def step_generation(parent: Network, dataset: Dataset, cfg: EvolutionConfig,
     dna = encode_dna(parent)
     cal = calibrate_alpha(dna, cfg.retention_per_generation)
     seed_g = derive_seed(cfg.master_seed, g)
-    mask = synthesize_offspring(dna, cal.env, substream(seed_g, 0))
+    masks = synthesize_offspring(dna, cal.alpha, substream(seed_g, 0))
     layers = [
         DenseLayer(weights=_masked(layer.weights, m), mask=m, bias=layer.bias.copy(),
                    activation=layer.activation)
-        for layer, m in zip(parent.layers, mask.layers)
+        for layer, m in zip(parent.layers, masks)
     ]
     child = Network(layers=layers, generation=g, precision_tag=FULL)
-    return _train_quantize_record(child, dataset, cfg, g, cal.env.alpha, seed_g)
+    return _train_quantize_record(child, dataset, cfg, g, cal.alpha, seed_g)
 
 
 def _persist(net: Network, records: list[GenerationRecord], out_dir: str | None) -> None:
@@ -184,7 +183,7 @@ def evolve(spec: list[LayerSpec], dataset: Dataset, cfg: EvolutionConfig,
         records.append(rec)
         _persist(child, records, out_dir)
         current = child
-    lineage = Lineage(records=records, config=cfg, stop_reason=stop_reason)
+    lineage = Lineage(records=records, stop_reason=stop_reason)
     if out_dir is not None:
         save_lineage_report(lineage, os.path.join(out_dir, "lineage.csv"))
     return lineage

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DeadLayer
-from .netcore import Network, SynapseMask
+from .netcore import Network
 from .rng import uniform_layers
 
 
@@ -36,27 +36,16 @@ class SynapticProbabilityModel:
 
 
 @dataclass(frozen=True)
-class EnvironmentalFactor:
-    """Global survival scale in (0, 1]."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-
-
-@dataclass(frozen=True)
 class CalibrationResult:
     """Outcome of inverting expected density for a target retention.
 
     ``saturated`` means the target sits above what alpha = 1 can reach, so
-    the returned factor is the identity and the realized expectation is
-    ``expected`` rather than the target. ``iterations`` is always 0: the
-    inversion is one division, not a search.
+    the returned alpha is 1 and the realized expectation is ``expected``
+    rather than the target. ``iterations`` is always 0: the inversion is
+    one division, not a search.
     """
 
-    env: EnvironmentalFactor
+    alpha: float
     expected: float
     saturated: bool
     iterations: int
@@ -78,17 +67,20 @@ def encode_dna(net: Network) -> SynapticProbabilityModel:
     return SynapticProbabilityModel(layers=layers, source_generation=net.generation)
 
 
-def synthesis_probability(dna: SynapticProbabilityModel, env: EnvironmentalFactor) -> list[np.ndarray]:
+def synthesis_probability(dna: SynapticProbabilityModel, alpha: float) -> list[np.ndarray]:
     """Per-synapse sampling probabilities q = alpha * p.
 
-    Both factors lie in [0, 1] (p by construction in ``encode_dna``, alpha
-    by ``EnvironmentalFactor``), so q does too and needs no clamp.
+    Raises ValueError unless alpha is in (0, 1]. p lies in [0, 1] by
+    construction in ``encode_dna``, so q does too and needs no clamp.
     """
-    return [env.alpha * p for p in dna.layers]
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    return [alpha * p for p in dna.layers]
 
 
-def synthesize_offspring(dna: SynapticProbabilityModel, env: EnvironmentalFactor, seed: int) -> SynapseMask:
-    """One independent Bernoulli(q) draw per synapse, then neuron repair.
+def synthesize_offspring(dna: SynapticProbabilityModel, alpha: float, seed: int) -> list[np.ndarray]:
+    """Per-layer uint8 masks: one independent Bernoulli(q) draw per synapse,
+    then neuron repair.
 
     Draws come from a single deterministic stream consumed layer-major and
     row-major within each layer. Repair: an output neuron whose sampled
@@ -96,23 +88,23 @@ def synthesize_offspring(dna: SynapticProbabilityModel, env: EnvironmentalFactor
     resolve to the lowest column index). Rows with no positive q at all
     are left dead so the parent's zero structure is never violated.
     """
-    qs = synthesis_probability(dna, env)
+    qs = synthesis_probability(dna, alpha)
     masks = []
     for q, u in zip(qs, uniform_layers(seed, [q.shape for q in qs])):
         s = (u < q).astype(np.uint8)
         dead = (s.sum(axis=1) == 0) & (q.max(axis=1) > 0.0)
         s[dead, q[dead].argmax(axis=1)] = 1
         masks.append(s)
-    return SynapseMask(layers=masks)
+    return masks
 
 
-def expected_density(dna: SynapticProbabilityModel, env: EnvironmentalFactor) -> float:
+def expected_density(dna: SynapticProbabilityModel, alpha: float) -> float:
     """Expected surviving fraction: sum of q over the count of p > 0.
 
     The repair rule is ignored, biasing the estimate low by at most
     (output neurons / active synapses); negligible at working densities.
     """
-    qs = synthesis_probability(dna, env)
+    qs = synthesis_probability(dna, alpha)
     active = 0
     q_sum = 0.0
     for i, (p, q) in enumerate(zip(dna.layers, qs)):
@@ -128,16 +120,15 @@ def calibrate_alpha(dna: SynapticProbabilityModel, target_retention: float) -> C
     """The global alpha whose expected density matches the target.
 
     Expected density is alpha * e(1), so alpha = min(1, target / e(1)).
-    When even alpha = 1 cannot reach the target the identity factor is
-    returned with the saturated flag set.
+    When even alpha = 1 cannot reach the target, alpha = 1 is returned
+    with the saturated flag set.
     """
     if not 0.0 < target_retention <= 1.0:
         raise ValueError(f"target retention must be in (0, 1], got {target_retention}")
-    env_one = EnvironmentalFactor(1.0)
-    e_one = expected_density(dna, env_one)
+    e_one = expected_density(dna, 1.0)
     if e_one <= target_retention:
-        return CalibrationResult(env=env_one, expected=e_one,
+        return CalibrationResult(alpha=1.0, expected=e_one,
                                  saturated=e_one < target_retention, iterations=0)
-    env = EnvironmentalFactor(target_retention / e_one)
-    return CalibrationResult(env=env, expected=expected_density(dna, env),
+    alpha = target_retention / e_one
+    return CalibrationResult(alpha=alpha, expected=expected_density(dna, alpha),
                              saturated=False, iterations=0)

@@ -2,7 +2,7 @@
 
 The codec is numpy's float16 cast, which rounds to nearest, ties to even,
 and widens every binary16 code exactly, plus two rules of its own: under
-the saturate policy a finite value whose rounded magnitude exceeds the
+the saturate overflow mode a finite value whose rounded magnitude exceeds the
 largest finite binary16 (65504) becomes +-65504 instead of +-inf, and NaN
 of any sign or payload encodes to the canonical quiet pattern 0x7E00.
 True infinities are exact and keep their codes. The tests are the oracle:
@@ -11,8 +11,6 @@ field formulas, without numpy's float16.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,24 +24,19 @@ TO_INFINITY = "to_infinity"
 HALF_OVERFLOW_MODES = (SATURATE, TO_INFINITY)
 
 
-@dataclass(frozen=True)
-class PrecisionPolicy:
-    """Conversion policy. Rounding is fixed to nearest-even; only the
-    treatment of finite overflow is selectable."""
+def encode_array(values: np.ndarray, overflow: str = SATURATE) -> np.ndarray:
+    """Encode an array of binary32 values to binary16 codes (uint16).
 
-    overflow: str = SATURATE
-
-    def __post_init__(self):
-        if self.overflow not in HALF_OVERFLOW_MODES:
-            raise ValueError(f"unknown overflow mode {self.overflow!r}")
-
-
-def encode_array(values: np.ndarray, policy: PrecisionPolicy = PrecisionPolicy()) -> np.ndarray:
-    """Encode an array of binary32 values to binary16 codes (uint16)."""
+    Rounding is fixed to nearest-even; ``overflow`` (one of
+    ``HALF_OVERFLOW_MODES``) selects the treatment of finite overflow, and
+    any other value raises ValueError.
+    """
+    if overflow not in HALF_OVERFLOW_MODES:
+        raise ValueError(f"unknown overflow mode {overflow!r}")
     arr = np.ascontiguousarray(values, dtype=np.float32)
     with np.errstate(over="ignore"):
         codes = arr.astype(np.float16).view(np.uint16)
-    if policy.overflow == SATURATE:
+    if overflow == SATURATE:
         over = ((codes & 0x7FFF) == 0x7C00) & np.isfinite(arr)
         codes[over] = (codes[over] & 0x8000) | 0x7BFF
     codes[np.isnan(arr)] = NAN_F16
@@ -55,11 +48,11 @@ def decode_array(codes: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(codes, dtype=np.uint16).view(np.float16).astype(np.float32)
 
 
-def encode_f16(x: float, policy: PrecisionPolicy = PrecisionPolicy()) -> int:
+def encode_f16(x: float, overflow: str = SATURATE) -> int:
     """Encode one binary32 value; Python floats are first rounded to binary32."""
     with np.errstate(over="ignore"):
         v = np.float32(x)
-    return int(encode_array(np.array([v], dtype=np.float32), policy)[0])
+    return int(encode_array(np.array([v], dtype=np.float32), overflow)[0])
 
 
 def decode_f16(h: int) -> float:
@@ -69,7 +62,7 @@ def decode_f16(h: int) -> float:
     return float(decode_array(np.array([h], dtype=np.uint16))[0])
 
 
-def quantize_network(net: Network, policy: PrecisionPolicy = PrecisionPolicy()) -> Network:
+def quantize_network(net: Network, overflow: str = SATURATE) -> Network:
     """Round every weight and bias of a network through binary16.
 
     Masked positions are exactly 0.0 before and after (0.0 encodes to code
@@ -80,9 +73,9 @@ def quantize_network(net: Network, policy: PrecisionPolicy = PrecisionPolicy()) 
     _check_finite(net)
     layers = [
         DenseLayer(
-            weights=decode_array(encode_array(layer.weights, policy)),
+            weights=decode_array(encode_array(layer.weights, overflow)),
             mask=layer.mask.copy(),
-            bias=decode_array(encode_array(layer.bias, policy)),
+            bias=decode_array(encode_array(layer.bias, overflow)),
             activation=layer.activation,
         )
         for layer in net.layers

@@ -57,10 +57,13 @@ raises instead of leaving the plan stale, and new values go in new arrays
 Features must be finite. Every entry point that takes them (``forward``,
 ``forward_batch``, ``mean_loss``, ``gradients``, ``evaluate_classifier``
 and ``train``) raises ``NumericFailure("non-finite feature value")`` for
-a NaN or inf anywhere in its input, read column or not, before any
-arithmetic: one ``isfinite`` pass (``_finite``). A column that the live
-sub-network leaves out therefore never decides an outcome that the dense
-arithmetic (where NaN * 0.0 and inf * 0.0 are NaN) would decide otherwise.
+a NaN or inf anywhere in its input, read column or not, before that
+block's arithmetic: one ``isfinite`` pass (``_finite``) over each row
+block that inference runs (``_probabilities``), and one over the whole
+input in ``mean_loss``, ``gradients`` and ``train``. Labels are checked
+first. A column that the live sub-network leaves out therefore never
+decides an outcome that the dense arithmetic (where NaN * 0.0 and
+inf * 0.0 are NaN) would decide otherwise.
 """
 
 from __future__ import annotations
@@ -116,17 +119,6 @@ class DenseLayer:
 
     def copy(self) -> "DenseLayer":
         return DenseLayer(self.weights.copy(), self.mask.copy(), self.bias.copy(), self.activation)
-
-
-@dataclass
-class SynapseMask:
-    """Per-layer binary matrices congruent with a network's weight shapes.
-
-    A valid mask keeps at least one synapse per layer; synthesis repair
-    guarantees this for every mask it emits.
-    """
-
-    layers: list[np.ndarray]  # uint8 in {0, 1}
 
 
 @dataclass
@@ -345,7 +337,7 @@ def _plan(net: Network):
     ``ws``, ``bs`` and ``acts`` are ``_live_params``' blocks, so the first
     layer reads only the input columns ``keep`` (indices, or None when it
     reads every column). Skipping the others is exact because features are
-    finite (``_batch``): their masked +0.0 weights add nothing.
+    finite (``_finite``): their masked +0.0 weights add nothing.
 
     The plan is kept while every layer holds the same weights, mask, bias
     and activation objects (compared with ``is``). Preparing it clears the
@@ -373,8 +365,12 @@ def _columns(x: np.ndarray, keep) -> np.ndarray:
 
 
 def _probabilities(plan, x: np.ndarray) -> np.ndarray:
-    """float32 class probabilities of the 2-D finite floating batch ``x`` under a plan."""
+    """float32 class probabilities of the 2-D floating batch ``x`` under a plan.
+
+    Every column of ``x``, read or not, must be finite (``_finite``).
+    """
     ws, bs, acts, keep = plan
+    _finite(x)
     with np.errstate(invalid="ignore"):  # a +inf logit makes inf - inf; caught below
         _, logits = _forward_core(ws, bs, acts, _columns(x, keep))
         probs = np.exp(_log_softmax(logits)).astype(np.float32)
@@ -407,21 +403,19 @@ def _floating(values) -> np.ndarray:
     return x if x.dtype.kind == "f" else np.asarray(values, dtype=np.float64)
 
 
-def _finite(x: np.ndarray) -> np.ndarray:
-    """``x``, which must hold no NaN or inf: the one finiteness check for features."""
+def _finite(x: np.ndarray) -> None:
+    """Raise unless ``x`` holds no NaN or inf: the one finiteness check for features."""
     if not np.isfinite(x).all():
         raise NumericFailure("non-finite feature value")
-    return x
 
 
 def _batch(net: Network, inputs, labels=None):
-    """``(x, y)``: 2-D finite floating features for ``net`` (``_floating``,
-    ``_finite``) and, unless ``labels`` is None, their int64 labels, which
-    must make a non-empty batch."""
+    """``(x, y)``: 2-D floating features for ``net`` (``_floating``) and,
+    unless ``labels`` is None, their int64 labels, which must make a
+    non-empty batch. Finiteness is left to the caller (``_finite``)."""
     x = _floating(inputs)
     if x.ndim != 2 or x.shape[1] != net.in_dim:
         raise ShapeMismatch(f"batch features must be [n, {net.in_dim}], got {x.shape}")
-    _finite(x)
     if labels is None:
         return x, None
     y = np.asarray(labels, dtype=np.int64)
@@ -443,7 +437,7 @@ def forward(net: Network, input: Sequence[float]) -> np.ndarray:
     x = _floating(input)
     if x.ndim != 1 or x.shape[0] != net.in_dim:
         raise ShapeMismatch(f"input must have length {net.in_dim}, got shape {x.shape}")
-    return _probabilities(_plan(net), _finite(x)[None])[0]
+    return _probabilities(_plan(net), x[None])[0]
 
 
 def forward_batch(net: Network, inputs: np.ndarray) -> np.ndarray:
@@ -458,6 +452,7 @@ def forward_batch(net: Network, inputs: np.ndarray) -> np.ndarray:
 def mean_loss(net: Network, batch_inputs: np.ndarray, batch_labels: np.ndarray) -> float:
     """Mean cross-entropy of the batch under the network's predictions."""
     x, y = _batch(net, batch_inputs, batch_labels)
+    _finite(x)
     ws, bs, acts, keep = _plan(net)
     return _loss(ws, bs, acts, _columns(x, keep), y)
 
@@ -498,6 +493,7 @@ def gradients(net: Network, batch_inputs: np.ndarray, batch_labels: np.ndarray) 
     Entries at masked-off positions are exactly 0.0.
     """
     x, y = _batch(net, batch_inputs, batch_labels)
+    _finite(x)
     ws, bs, acts = _working_params(net)
     w_grads = [np.empty_like(w) for w in ws]
     b_grads = [np.empty_like(b) for b in bs]
@@ -563,6 +559,7 @@ def train(net: Network, dataset: "Dataset", cfg: TrainConfig) -> tuple[Network, 
     """
     _check_finite(net)
     x, y = _batch(net, dataset.features, dataset.labels)
+    _finite(x)
     if len(np.unique(y)) < 2:
         raise InvalidLabel("dataset must contain at least 2 represented classes")
 

@@ -1,9 +1,13 @@
 """Deterministic pseudo-randomness built on the SplitMix64 mixer.
 
 Every stochastic step in the library (weight init, offspring sampling,
-epoch shuffles, synthetic data) draws from these streams, so results are
-bit-reproducible across runs and platforms: the generator is pure 64-bit
-integer arithmetic with no dependence on hardware float behaviour.
+epoch shuffles, synthetic data) draws from these streams. The generator
+is pure 64-bit integer arithmetic with no dependence on hardware float
+behaviour, so the streams, and the masks sampled from them, are the same
+bits on every platform and BLAS kernel. Training's float64 matmuls are
+not: the loss curves can differ by a few ulp between OpenBLAS kernels
+(2 ulp between SkylakeX and Haswell), while the binary16 output bytes
+were the same under all five ``OPENBLAS_CORETYPE`` kernels tried.
 
 Stream definition: output k (0-based) of the stream with seed ``s`` is
 ``mix64((s + (k + 1) * GOLDEN_GAMMA) mod 2**64)``, which is exactly the

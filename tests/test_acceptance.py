@@ -13,7 +13,6 @@ import pytest
 from evosynth.dataio import load_lineage_report, load_model, load_model_meta, save_model, synth_gaussians
 from evosynth.evolution import EvolutionConfig, evolve
 from evosynth.genetics import (
-    EnvironmentalFactor,
     SynapticProbabilityModel,
     calibrate_alpha,
     expected_density,
@@ -22,7 +21,6 @@ from evosynth.genetics import (
 from evosynth.halfprec import (
     SATURATE,
     TO_INFINITY,
-    PrecisionPolicy,
     decode_array,
     decode_f16,
     encode_array,
@@ -103,7 +101,7 @@ def test_criterion_4_codec_exactness():
     nan_codes = np.isnan(values)
     expected = np.where(nan_codes, np.uint16(0x7E00), codes)
     for overflow in (SATURATE, TO_INFINITY):
-        back = encode_array(values, PrecisionPolicy(overflow=overflow))
+        back = encode_array(values, overflow)
         if not np.array_equal(back, expected):
             ok = False
             notes.append(f"round-trip mismatch under {overflow}")
@@ -127,7 +125,7 @@ def test_criterion_4_codec_exactness():
             decode_f16(encode_f16(2049.0)) == 2048.0 == float(np.float16(2049.0)),
             decode_f16(encode_f16(0.1)) == 0.0999755859375 == float(np.float16(0.1)),
             decode_f16(encode_f16(65520.0)) == 65504.0,
-            decode_f16(encode_f16(65520.0, PrecisionPolicy(overflow=TO_INFINITY)))
+            decode_f16(encode_f16(65520.0, TO_INFINITY))
             == float(np.float16(65520.0)) == float("inf"),
         )
     if not all(reference):
@@ -146,11 +144,11 @@ def test_criterion_4_codec_exactness():
 def test_criterion_5_sampling_statistics():
     dna = SynapticProbabilityModel(layers=[np.ones((1, 200), dtype=np.float64)],
                                    source_generation=1)
-    env = EnvironmentalFactor(alpha=0.5)
+    alpha = 0.5
     trials = 100_000
     counts = np.zeros((1, 200), dtype=np.int64)
     for t in range(trials):
-        counts += synthesize_offspring(dna, env, substream(2024, t)).layers[0]
+        counts += synthesize_offspring(dna, alpha, substream(2024, t))[0]
     rates = counts / trials
     lo, hi = float(rates.min()), float(rates.max())
     bounds_ok = 0.4953 <= lo and hi <= 0.5047
@@ -169,10 +167,10 @@ def test_criterion_5_sampling_statistics():
                 p[0, 0] = 0.5
             layers.append(p)
         rand_dna = SynapticProbabilityModel(layers=layers, source_generation=1)
-        reachable = expected_density(rand_dna, EnvironmentalFactor(alpha=1.0))
+        reachable = expected_density(rand_dna, 1.0)
         target = reachable * (0.05 + 0.9 * uniform_block(substream(779, k), 1)[0])
         result = calibrate_alpha(rand_dna, target)
-        achieved = expected_density(rand_dna, result.env)
+        achieved = expected_density(rand_dna, result.alpha)
         worst = max(worst, abs(achieved - target))
     inversion_ok = worst <= 1e-3
 

@@ -34,8 +34,8 @@ from evosynth.errors import (
     ParseError,
     TruncatedFile,
 )
-from evosynth.evolution import EvolutionConfig, GenerationRecord, Lineage
-from evosynth.halfprec import TO_INFINITY, PrecisionPolicy, encode_array, quantize_network
+from evosynth.evolution import GenerationRecord, Lineage
+from evosynth.halfprec import TO_INFINITY, encode_array, quantize_network
 from evosynth.netcore import ACTIVATIONS, LayerSpec, init_network, validation_split
 
 
@@ -374,7 +374,7 @@ def test_save_load_binary32_bit_exact(tmp_path):
 
 
 def test_save_load_binary16_bit_exact(tmp_path):
-    net = quantize_network(_small_net(), PrecisionPolicy())
+    net = quantize_network(_small_net())
     p = str(tmp_path / "m.json")
     save_model(net, p)
     back = load_model(p)
@@ -399,14 +399,13 @@ def _reference_save_model(net, path, seed=0, alpha_history=None):
         "seed": int(seed),
         "alpha_history": [float(a) for a in (alpha_history or [])],
     }
-    policy = PrecisionPolicy()
     for layer in net.layers:
         out_dim, in_dim = layer.weights.shape
         entry = {"in_dim": in_dim, "out_dim": out_dim,
                  "mask": [int(v) for v in layer.mask.reshape(-1)]}
         if net.precision_tag == "half":
-            entry["weights_f16"] = [int(v) for v in encode_array(layer.weights, policy).reshape(-1)]
-            entry["bias_f16"] = [int(v) for v in encode_array(layer.bias, policy).reshape(-1)]
+            entry["weights_f16"] = [int(v) for v in encode_array(layer.weights).reshape(-1)]
+            entry["bias_f16"] = [int(v) for v in encode_array(layer.bias).reshape(-1)]
         else:
             entry["weights_f32"] = [float(f"{float(v):.9g}") for v in layer.weights.reshape(-1)]
             entry["bias_f32"] = [float(f"{float(v):.9g}") for v in layer.bias.reshape(-1)]
@@ -461,7 +460,7 @@ def test_save_model_bytes_equal_json_dump_indent_1(tmp_path, shape, precision):
     for k, (generation, seed, alphas) in enumerate(cases):
         net = _random_net(rng, widths, density)
         if precision == "binary16":
-            net = quantize_network(net, PrecisionPolicy())
+            net = quantize_network(net)
         net.generation = generation
         ours, ref = tmp_path / f"ours_{k}.json", tmp_path / f"ref_{k}.json"
         save_model(net, str(ours), seed=seed, alpha_history=alphas)
@@ -478,7 +477,7 @@ def test_save_model_bytes_equal_json_dump_with_infinite_codes(tmp_path):
     net = _random_net(rng, (7, 6, 5, 4, 2), 0.5)
     live = np.flatnonzero(net.layers[0].mask)
     net.layers[0].weights.flat[live[:2]] = [1e6, -1e6]  # beyond binary16's 65504
-    net = quantize_network(net, PrecisionPolicy(overflow=TO_INFINITY))
+    net = quantize_network(net, TO_INFINITY)
     ours, ref = tmp_path / "ours.json", tmp_path / "ref.json"
     save_model(net, str(ours), seed=3, alpha_history=[0.5])
     _reference_save_model(net, str(ref), seed=3, alpha_history=[0.5])
@@ -519,7 +518,7 @@ def test_int_items_spell_every_code_like_repr(depth):
 @pytest.mark.parametrize("half", [False, True], ids=["binary32", "binary16"])
 @pytest.mark.parametrize("value", [2, -1, 0.5, np.nan], ids=["2", "-1", "0.5", "nan"])
 def test_save_model_rejects_mask_entries_other_than_0_and_1(tmp_path, value, half):
-    net = quantize_network(_small_net(), PrecisionPolicy()) if half else _small_net()
+    net = quantize_network(_small_net()) if half else _small_net()
     layer = net.layers[1]
     layer.mask = layer.mask.astype(np.float64 if isinstance(value, float) else np.int64)
     layer.mask[0, 0] = value
@@ -534,7 +533,7 @@ def test_save_model_rejects_mask_entries_other_than_0_and_1(tmp_path, value, hal
     (False, -0.0), (False, 1e-45), (False, 0.25), (True, -0.0), (True, 1.0),
 ], ids=["binary32 -0.0", "binary32 subnormal", "binary32 0.25", "binary16 -0.0", "binary16 1.0"])
 def test_save_model_rejects_masked_weight_that_is_not_positive_zero(tmp_path, half, value):
-    net = quantize_network(_small_net(), PrecisionPolicy()) if half else _small_net()
+    net = quantize_network(_small_net()) if half else _small_net()
     net.layers[0].weights[0, 1] = value  # masked off in the fixture
     p = tmp_path / "m.json"
     with pytest.raises(IntegrityError, match="layer 0: masked-off weight is not \\+0.0") as info:
@@ -544,7 +543,7 @@ def test_save_model_rejects_masked_weight_that_is_not_positive_zero(tmp_path, ha
 
 
 def test_save_model_writes_masked_weight_that_reads_back_as_positive_zero(tmp_path):
-    net = quantize_network(_small_net(), PrecisionPolicy())
+    net = quantize_network(_small_net())
     net.layers[0].weights[0, 1] = 1e-10  # rounds to binary16 code 0x0000
     p = str(tmp_path / "m.json")
     save_model(net, p)
@@ -554,7 +553,7 @@ def test_save_model_writes_masked_weight_that_reads_back_as_positive_zero(tmp_pa
 @pytest.mark.parametrize("dtype", [bool, np.int64, np.float32])
 @pytest.mark.parametrize("half", [False, True], ids=["binary32", "binary16"])
 def test_save_model_writes_any_0_1_mask_as_integers(tmp_path, dtype, half):
-    net = quantize_network(_small_net(), PrecisionPolicy()) if half else _small_net()
+    net = quantize_network(_small_net()) if half else _small_net()
     expected = tmp_path / "uint8.json"
     save_model(net, str(expected))
     for layer in net.layers:
@@ -600,7 +599,7 @@ def test_save_model_writes_float64_weights_as_the_binary32_values_they_load_as(t
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
 @pytest.mark.parametrize("half", [False, True], ids=["binary32", "binary16"])
 def test_save_model_rejects_non_finite_alpha_history(tmp_path, value, half):
-    net = quantize_network(_small_net(), PrecisionPolicy()) if half else _small_net()
+    net = quantize_network(_small_net()) if half else _small_net()
     p = tmp_path / "m.json"
     with pytest.raises(NumericFailure, match="alpha_history"):
         save_model(net, str(p), alpha_history=[1.0, value])
@@ -611,7 +610,7 @@ def test_half_file_stores_bit_patterns(tmp_path):
     net = _small_net(masked=False)
     net.layers[0].weights[:] = 0.0
     net.layers[0].weights[0, 0] = 1.0
-    net = quantize_network(net, PrecisionPolicy())
+    net = quantize_network(net)
     p = str(tmp_path / "m.json")
     save_model(net, p)
     doc = json.loads((tmp_path / "m.json").read_text())
@@ -717,7 +716,7 @@ def test_model_masked_weight_must_be_zero(tmp_path):
 
 
 def test_model_masked_half_code_must_be_zero(tmp_path):
-    net = quantize_network(_small_net(), PrecisionPolicy())
+    net = quantize_network(_small_net())
     p = tmp_path / "m.json"
     save_model(net, str(p))
     doc = json.loads(p.read_text())
@@ -728,7 +727,7 @@ def test_model_masked_half_code_must_be_zero(tmp_path):
 
 
 def test_model_half_code_out_of_range(tmp_path):
-    net = quantize_network(_small_net(), PrecisionPolicy())
+    net = quantize_network(_small_net())
     p = tmp_path / "m.json"
     save_model(net, str(p))
     doc = json.loads(p.read_text())
@@ -740,7 +739,7 @@ def test_model_half_code_out_of_range(tmp_path):
 
 @pytest.mark.parametrize("value", [-1, 2**70, 1.0, True], ids=["-1", "2^70", "1.0", "true"])
 def test_model_half_code_must_be_an_integer_in_range(tmp_path, value):
-    net = quantize_network(_small_net(), PrecisionPolicy())
+    net = quantize_network(_small_net())
     p = tmp_path / "m.json"
     save_model(net, str(p))
     doc = json.loads(p.read_text())
@@ -901,7 +900,7 @@ def _record(g, **kw):
 
 
 def _lineage(records):
-    return Lineage(records=records, config=EvolutionConfig())
+    return Lineage(records=records)
 
 
 def test_lineage_round_trip(tmp_path):

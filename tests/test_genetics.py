@@ -7,7 +7,6 @@ from hypothesis.extra import numpy as hnp
 
 from evosynth.errors import DeadLayer
 from evosynth.genetics import (
-    EnvironmentalFactor,
     SynapticProbabilityModel,
     calibrate_alpha,
     encode_dna,
@@ -89,25 +88,28 @@ def test_encode_dna_scale_invariant_general_within_ulps():
 
 
 def test_synthesis_probability_identity_factor():
-    qs = synthesis_probability(_spm([[1.0, 0.5, 0.0]]), EnvironmentalFactor(1.0))
+    qs = synthesis_probability(_spm([[1.0, 0.5, 0.0]]), 1.0)
     assert qs[0].tolist() == [1.0, 0.5, 0.0]
 
 
 def test_synthesis_probability_scales():
-    qs = synthesis_probability(_spm([[1.0, 0.5, 0.0]]), EnvironmentalFactor(0.8))
+    qs = synthesis_probability(_spm([[1.0, 0.5, 0.0]]), 0.8)
     assert np.allclose(qs[0], [0.8, 0.4, 0.0])
 
 
 def test_synthesis_probability_clamped_at_one():
-    qs = synthesis_probability(_spm([[1.0, 1.0]]), EnvironmentalFactor(1.0))
+    qs = synthesis_probability(_spm([[1.0, 1.0]]), 1.0)
     assert np.all(qs[0] <= 1.0)
 
 
 def test_environment_validation():
-    with pytest.raises(ValueError):
-        EnvironmentalFactor(0.0)
-    with pytest.raises(ValueError):
-        EnvironmentalFactor(1.5)
+    # alpha reaches q only through synthesis_probability, which checks it
+    dna = _spm([[1.0, 0.5]])
+    for use in (synthesis_probability, expected_density,
+                lambda dna, alpha: synthesize_offspring(dna, alpha, seed=0)):
+        for alpha in (0.0, 1.5, float("nan")):
+            with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\]"):
+                use(dna, alpha)
 
 
 # offspring sampling
@@ -115,42 +117,42 @@ def test_environment_validation():
 
 def test_synthesize_deterministic():
     dna = _spm([np.full((5, 8), 0.5)])
-    a = synthesize_offspring(dna, EnvironmentalFactor(1.0), seed=123)
-    b = synthesize_offspring(dna, EnvironmentalFactor(1.0), seed=123)
-    c = synthesize_offspring(dna, EnvironmentalFactor(1.0), seed=124)
-    assert np.array_equal(a.layers[0], b.layers[0])
-    assert not np.array_equal(a.layers[0], c.layers[0])
+    a = synthesize_offspring(dna, 1.0, seed=123)
+    b = synthesize_offspring(dna, 1.0, seed=123)
+    c = synthesize_offspring(dna, 1.0, seed=124)
+    assert np.array_equal(a[0], b[0])
+    assert not np.array_equal(a[0], c[0])
 
 
 def test_synthesize_degenerate_probabilities():
     dna = _spm([[[1.0, 0.0]]])
     for seed in range(20):
-        mask = synthesize_offspring(dna, EnvironmentalFactor(1.0), seed=seed)
-        assert mask.layers[0].tolist() == [[1, 0]]
+        mask = synthesize_offspring(dna, 1.0, seed=seed)
+        assert mask[0].tolist() == [[1, 0]]
 
 
 def test_synthesize_all_ones_preserves_topology():
     dna = _spm([np.ones((4, 4)), np.ones((2, 4))])
     for seed in (0, 7, 99):
-        mask = synthesize_offspring(dna, EnvironmentalFactor(1.0), seed=seed)
-        assert all(np.all(m == 1) for m in mask.layers)
+        mask = synthesize_offspring(dna, 1.0, seed=seed)
+        assert all(np.all(m == 1) for m in mask)
 
 
 def test_repair_forces_highest_q_with_lowest_column_tie_break():
     # alpha so small every draw fails, leaving repair to pick per row
     dna = _spm([[[0.5, 1.0, 1.0, 0.25], [0.2, 0.1, 0.9, 0.3]]])
-    env = EnvironmentalFactor(1e-9)
+    alpha = 1e-9
     for seed in range(10):
-        mask = synthesize_offspring(dna, env, seed=seed)
-        assert mask.layers[0].tolist() == [[0, 1, 0, 0], [0, 0, 1, 0]]
+        mask = synthesize_offspring(dna, alpha, seed=seed)
+        assert mask[0].tolist() == [[0, 1, 0, 0], [0, 0, 1, 0]]
 
 
 def test_repair_leaves_parent_dead_rows_dead():
     dna = _spm([[[1.0, 0.5], [0.0, 0.0]]])
     for seed in range(10):
-        mask = synthesize_offspring(dna, EnvironmentalFactor(1.0), seed=seed)
-        assert mask.layers[0][1].tolist() == [0, 0]
-        assert mask.layers[0][0, 0] == 1  # q = 1 always survives
+        mask = synthesize_offspring(dna, 1.0, seed=seed)
+        assert mask[0][1].tolist() == [0, 0]
+        assert mask[0][0, 0] == 1  # q = 1 always survives
 
 
 def test_offspring_subset_of_parent_active_set():
@@ -162,20 +164,20 @@ def test_offspring_subset_of_parent_active_set():
     dna = encode_dna(net)
     parent_active = dna.layers[0] > 0
     for seed in range(50):
-        child = synthesize_offspring(dna, EnvironmentalFactor(0.6), seed=seed)
-        assert not np.any(child.layers[0] & ~parent_active)
+        child = synthesize_offspring(dna, 0.6, seed=seed)
+        assert not np.any(child[0] & ~parent_active)
         # repair keeps every live row connected
         live_rows = parent_active.any(axis=1)
-        assert np.all(child.layers[0][live_rows].sum(axis=1) >= 1)
+        assert np.all(child[0][live_rows].sum(axis=1) >= 1)
 
 
 def test_sampling_statistics_half_probability():
     dna = _spm([np.full((10, 20), 0.5)])
-    env = EnvironmentalFactor(1.0)
+    alpha = 1.0
     trials = 2000
     counts = np.zeros((10, 20))
     for seed in range(trials):
-        counts += synthesize_offspring(dna, env, seed=seed).layers[0]
+        counts += synthesize_offspring(dna, alpha, seed=seed)[0]
     freq = counts / trials
     # 3 sigma band for Bernoulli(0.5): 3 * sqrt(0.25 / trials)
     band = 3 * np.sqrt(0.25 / trials)
@@ -186,44 +188,44 @@ def test_sampling_statistics_half_probability():
 
 
 def test_expected_density_examples():
-    assert expected_density(_spm([[1.0, 1.0, 1.0, 1.0]]), EnvironmentalFactor(1.0)) == 1.0
-    assert abs(expected_density(_spm([[0.2, 0.8]]), EnvironmentalFactor(1.0)) - 0.5) < 1e-12
-    assert abs(expected_density(_spm([[0.2, 0.8]]), EnvironmentalFactor(0.5)) - 0.25) < 1e-12
+    assert expected_density(_spm([[1.0, 1.0, 1.0, 1.0]]), 1.0) == 1.0
+    assert abs(expected_density(_spm([[0.2, 0.8]]), 1.0) - 0.5) < 1e-12
+    assert abs(expected_density(_spm([[0.2, 0.8]]), 0.5) - 0.25) < 1e-12
 
 
 def test_expected_density_counts_only_active_parent_synapses():
     # zeros (absent synapses) do not enter the denominator
-    assert abs(expected_density(_spm([[0.2, 0.8, 0.0, 0.0]]), EnvironmentalFactor(1.0)) - 0.5) < 1e-12
+    assert abs(expected_density(_spm([[0.2, 0.8, 0.0, 0.0]]), 1.0) - 0.5) < 1e-12
 
 
 def test_expected_density_dead_layer():
     with pytest.raises(DeadLayer):
-        expected_density(_spm([[0.0, 0.0]]), EnvironmentalFactor(1.0))
+        expected_density(_spm([[0.0, 0.0]]), 1.0)
 
 
 def test_expected_density_monotone_in_alpha():
     rng = np.random.default_rng(8)
     dna = _spm([rng.random((6, 6)), rng.random((3, 6))])
     alphas = np.linspace(0.01, 1.0, 50)
-    values = [expected_density(dna, EnvironmentalFactor(float(a))) for a in alphas]
+    values = [expected_density(dna, float(a)) for a in alphas]
     assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
 
 
 def test_calibrate_linear_case():
     res = calibrate_alpha(_spm([np.ones(10)]), 0.5)
-    assert abs(res.env.alpha - 0.5) <= 1e-4
+    assert abs(res.alpha - 0.5) <= 1e-4
     assert not res.saturated
     assert abs(res.expected - 0.5) <= 1e-4
 
 
 def test_calibrate_hand_inversion():
     res = calibrate_alpha(_spm([[0.2, 0.8]]), 0.25)
-    assert abs(res.env.alpha - 0.5) <= 1e-4
+    assert abs(res.alpha - 0.5) <= 1e-4
 
 
 def test_calibrate_saturated():
     res = calibrate_alpha(_spm([[0.1, 0.1]]), 0.9)
-    assert res.env.alpha == 1.0
+    assert res.alpha == 1.0
     assert res.saturated
     assert abs(res.expected - 0.1) < 1e-12
     assert res.iterations == 0
@@ -231,7 +233,7 @@ def test_calibrate_saturated():
 
 def test_calibrate_exact_boundary_not_saturated():
     res = calibrate_alpha(_spm([[0.1, 0.1]]), 0.1)
-    assert res.env.alpha == 1.0
+    assert res.alpha == 1.0
     assert not res.saturated
 
 
@@ -250,9 +252,9 @@ def test_calibrate_inverts_expected_density():
         p.flat[rng.integers(0, p.size)] = 1.0  # a peak, as encode_dna guarantees
         dna = _spm([p])
         alpha_star = float(rng.uniform(0.05, 0.95))
-        target = expected_density(dna, EnvironmentalFactor(alpha_star))
+        target = expected_density(dna, alpha_star)
         res = calibrate_alpha(dna, target)
-        assert abs(res.env.alpha - alpha_star) <= 1e-3
+        assert abs(res.alpha - alpha_star) <= 1e-3
         assert abs(res.expected - target) <= 1e-4
 
 
@@ -269,7 +271,7 @@ def test_calibrate_monotone_in_target(layers, t1, t2):
         p.flat[p.argmax()] = 1.0  # each layer's peak, as encode_dna guarantees
     dna = _spm(layers)
     low, high = calibrate_alpha(dna, t1), calibrate_alpha(dna, t2)
-    assert low.env.alpha <= high.env.alpha
+    assert low.alpha <= high.alpha
     assert high.saturated or not low.saturated
 
 
@@ -284,10 +286,10 @@ def test_calibrate_is_the_closed_form_quotient():
             p.flat[rng.integers(0, p.size)] = 1.0
             layers.append(p)
         dna = _spm(layers)
-        e_one = expected_density(dna, EnvironmentalFactor(1.0))
+        e_one = expected_density(dna, 1.0)
         target = float(rng.uniform(0.01, 1.0)) * e_one
         res = calibrate_alpha(dna, target)
         assert not res.saturated
         assert res.iterations == 0
-        assert res.env.alpha == target / e_one
+        assert res.alpha == target / e_one
         assert abs(res.expected - target) <= 1e-12

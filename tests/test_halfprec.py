@@ -1,7 +1,7 @@
 """Bit-exact binary16 codec tests.
 
 The codec is built on numpy's float16 cast, so the tests that compare it
-with numpy only pin the to_infinity policy to plain numpy; they are not
+with numpy only pin the to_infinity mode to plain numpy; they are not
 an independent check. The independent oracle is at the end of this file:
 every finite code decodes to its IEEE field formula, and every rounding
 midpoint, with its binary32 neighbours, encodes as round-to-nearest-even
@@ -15,7 +15,6 @@ from evosynth.errors import NumericFailure
 from evosynth.halfprec import (
     MAX_FINITE_F16,
     NAN_F16,
-    PrecisionPolicy,
     SATURATE,
     TO_INFINITY,
     decode_array,
@@ -25,9 +24,6 @@ from evosynth.halfprec import (
     quantize_network,
 )
 from evosynth.netcore import DenseLayer, LayerSpec, Network, init_network
-
-SAT = PrecisionPolicy(overflow=SATURATE)
-INF = PrecisionPolicy(overflow=TO_INFINITY)
 
 ALL_CODES = np.arange(0x10000, dtype=np.uint16)
 EXP_MASK = 0x7C00
@@ -40,12 +36,12 @@ def _is_nan_code(h):
 
 def test_exhaustive_round_trip_all_codes():
     values = decode_array(ALL_CODES)
-    again = encode_array(values, SAT)
+    again = encode_array(values, SATURATE)
     nan_codes = _is_nan_code(ALL_CODES)
     assert np.array_equal(again[~nan_codes], ALL_CODES[~nan_codes])
     assert np.all(again[nan_codes] == NAN_F16)
-    # identical through the to_infinity policy: round-trips never overflow
-    assert np.array_equal(encode_array(values, INF)[~nan_codes], ALL_CODES[~nan_codes])
+    # identical in the to_infinity mode: round-trips never overflow
+    assert np.array_equal(encode_array(values, TO_INFINITY)[~nan_codes], ALL_CODES[~nan_codes])
 
 
 def test_round_trip_matches_numpy_reference():
@@ -54,7 +50,7 @@ def test_round_trip_matches_numpy_reference():
     both_nan = np.isnan(values) & np.isnan(ours)
     assert np.array_equal(values[~both_nan], ours[~both_nan])
     assert np.array_equal(ours.astype(np.float16).view(np.uint16)[~both_nan],
-                          encode_array(ours, INF)[~both_nan])
+                          encode_array(ours, TO_INFINITY)[~both_nan])
 
 
 def test_specific_codes():
@@ -108,34 +104,34 @@ def test_tiny_values_round_to_zero():
 
 def test_finite_overflow_policies():
     # 65520 is the smallest value that rounds beyond 65504
-    assert encode_f16(65520.0, SAT) == 0x7BFF
-    assert decode_f16(encode_f16(65520.0, SAT)) == MAX_FINITE_F16
-    assert encode_f16(65520.0, INF) == 0x7C00
-    assert encode_f16(-65520.0, SAT) == 0xFBFF
-    assert encode_f16(-65520.0, INF) == 0xFC00
-    assert encode_f16(1e30, SAT) == 0x7BFF
-    assert encode_f16(1e30, INF) == 0x7C00
+    assert encode_f16(65520.0, SATURATE) == 0x7BFF
+    assert decode_f16(encode_f16(65520.0, SATURATE)) == MAX_FINITE_F16
+    assert encode_f16(65520.0, TO_INFINITY) == 0x7C00
+    assert encode_f16(-65520.0, SATURATE) == 0xFBFF
+    assert encode_f16(-65520.0, TO_INFINITY) == 0xFC00
+    assert encode_f16(1e30, SATURATE) == 0x7BFF
+    assert encode_f16(1e30, TO_INFINITY) == 0x7C00
     # 65519.99... (largest f32 below the midpoint) still rounds down to 65504
     below = np.nextafter(np.float32(65520.0), np.float32(0.0))
-    assert encode_f16(float(below), SAT) == 0x7BFF
-    assert encode_f16(float(below), INF) == 0x7BFF
+    assert encode_f16(float(below), SATURATE) == 0x7BFF
+    assert encode_f16(float(below), TO_INFINITY) == 0x7BFF
 
 
 def test_true_infinities_unaffected_by_policy():
-    assert encode_f16(float("inf"), SAT) == 0x7C00
-    assert encode_f16(float("-inf"), SAT) == 0xFC00
+    assert encode_f16(float("inf"), SATURATE) == 0x7C00
+    assert encode_f16(float("-inf"), SATURATE) == 0xFC00
 
 
 def test_nan_canonicalized_dropping_sign():
     assert encode_f16(float("-nan")) == NAN_F16
     payloads = np.array([0x7C01, 0x7DAB, 0x7FFF, 0xFC01, 0xFFFF], dtype=np.uint16)
-    assert np.all(encode_array(decode_array(payloads), SAT) == NAN_F16)
+    assert np.all(encode_array(decode_array(payloads), SATURATE) == NAN_F16)
 
 
 def test_relative_error_bound_normal_range():
     block = np.random.default_rng(20240817).uniform(-1.0, 1.0, 100_000)
     values = (np.sign(block) * (2.0**-14 + np.abs(block) * (65504.0 - 2.0**-14))).astype(np.float32)
-    round_tripped = decode_array(encode_array(values, SAT)).astype(np.float64)
+    round_tripped = decode_array(encode_array(values, SATURATE)).astype(np.float64)
     rel = np.abs(round_tripped - values.astype(np.float64)) / np.abs(values.astype(np.float64))
     assert rel.max() <= 2.0**-11
 
@@ -143,7 +139,7 @@ def test_relative_error_bound_normal_range():
 def test_monotonicity_saturating():
     rng = np.random.default_rng(99)
     xs = np.sort(rng.normal(scale=1000.0, size=20_000).astype(np.float32))
-    ys = decode_array(encode_array(xs, SAT))
+    ys = decode_array(encode_array(xs, SATURATE))
     assert np.all(np.diff(ys) >= 0)
 
 
@@ -154,9 +150,9 @@ def test_sign_symmetry():
         rng.uniform(-1e-6, 1e-6, 1000),
         np.array([0.0, -0.0, 65504.0, 65520.0, 1e30, np.inf]),
     ]).astype(np.float32)
-    for policy in (SAT, INF):
-        pos = encode_array(xs, policy)
-        neg = encode_array(-xs, policy)
+    for overflow in (SATURATE, TO_INFINITY):
+        pos = encode_array(xs, overflow)
+        neg = encode_array(-xs, overflow)
         assert np.array_equal(neg, pos ^ np.uint16(0x8000))
 
 
@@ -164,7 +160,7 @@ def test_subnormal_round_trip_against_numpy():
     # every subnormal neighborhood: scan f32 values around each half subnormal
     rng = np.random.default_rng(5)
     xs = (rng.uniform(-1.0, 1.0, 50_000) * 2.0**-14).astype(np.float32)
-    assert np.array_equal(encode_array(xs, INF), xs.astype(np.float16).view(np.uint16))
+    assert np.array_equal(encode_array(xs, TO_INFINITY), xs.astype(np.float16).view(np.uint16))
 
 
 def test_encode_scalar_validates_and_masks():
@@ -174,28 +170,38 @@ def test_encode_scalar_validates_and_masks():
         decode_f16(0x10000)
 
 
+@pytest.mark.parametrize("encode", [
+    lambda mode: encode_array(np.zeros(2, dtype=np.float32), mode),
+    lambda mode: encode_f16(1.0, mode),
+    lambda mode: quantize_network(init_network([LayerSpec(2, 2)], seed=0), mode),
+], ids=["encode_array", "encode_f16", "quantize_network"])
+def test_unknown_overflow_mode_rejected(encode):
+    with pytest.raises(ValueError, match="unknown overflow mode 'inf'"):
+        encode("inf")
+
+
 def test_quantize_network_values_and_tag():
     net = init_network([LayerSpec(4, 3), LayerSpec(3, 2)], seed=11)
     net.layers[0].weights[0, 0] = np.float32(0.1)
     net.layers[0].mask[1, :] = 0
     net.layers[0].weights[1, :] = 0.0
-    q = quantize_network(net, SAT)
+    q = quantize_network(net, SATURATE)
     assert q.precision_tag == "half"
     assert net.precision_tag == "full"  # input untouched
     assert q.layers[0].weights[0, 0] == np.float32(0.0999755859375)
     assert np.all(q.layers[0].weights[1, :] == 0.0)
     assert np.array_equal(q.layers[0].mask, net.layers[0].mask)
     for layer, orig in zip(q.layers, net.layers):
-        codes = encode_array(layer.weights, SAT)
+        codes = encode_array(layer.weights, SATURATE)
         assert np.array_equal(decode_array(codes), layer.weights)
-        assert np.array_equal(decode_array(encode_array(layer.bias, SAT)), layer.bias)
+        assert np.array_equal(decode_array(encode_array(layer.bias, SATURATE)), layer.bias)
         assert orig.weights.shape == layer.weights.shape
 
 
 def test_quantize_idempotent():
     net = init_network([LayerSpec(6, 5), LayerSpec(5, 3)], seed=3)
-    once = quantize_network(net, SAT)
-    twice = quantize_network(once, SAT)
+    once = quantize_network(net, SATURATE)
+    twice = quantize_network(once, SATURATE)
     for a, b in zip(once.layers, twice.layers):
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
@@ -205,7 +211,7 @@ def test_quantize_all_zero_network_unchanged():
     layer = DenseLayer(weights=np.zeros((2, 2), dtype=np.float32),
                        mask=np.ones((2, 2), dtype=np.uint8),
                        bias=np.zeros(2, dtype=np.float32))
-    q = quantize_network(Network([layer]), SAT)
+    q = quantize_network(Network([layer]), SATURATE)
     assert np.all(q.layers[0].weights == 0.0)
     assert q.precision_tag == "half"
 
@@ -214,10 +220,10 @@ def test_quantize_rejects_non_finite():
     net = init_network([LayerSpec(2, 2)], seed=0)
     net.layers[0].weights[0, 0] = np.float32("inf")
     with pytest.raises(NumericFailure):
-        quantize_network(net, SAT)
+        quantize_network(net, SATURATE)
     net.layers[0].weights[0, 0] = np.float32("nan")
     with pytest.raises(NumericFailure):
-        quantize_network(net, SAT)
+        quantize_network(net, SATURATE)
 
 
 # independent oracle: IEEE binary16 field formulas, no numpy float16
@@ -252,12 +258,12 @@ def test_encode_rounds_every_midpoint_to_even():
     even = np.where(low & 1, high, low)
     up = np.nextafter(mid, np.float32(np.inf))
     down = np.nextafter(mid, np.float32(0.0))
-    for policy in (SAT, INF):
+    for overflow in (SATURATE, TO_INFINITY):
         for sign in (np.uint16(0), np.uint16(0x8000)):
             flip = np.float32(-1.0) if sign else np.float32(1.0)
-            assert np.array_equal(encode_array(flip * mid, policy), even | sign)
-            assert np.array_equal(encode_array(flip * up, policy), high | sign)
-            assert np.array_equal(encode_array(flip * down, policy), low | sign)
+            assert np.array_equal(encode_array(flip * mid, overflow), even | sign)
+            assert np.array_equal(encode_array(flip * up, overflow), high | sign)
+            assert np.array_equal(encode_array(flip * down, overflow), low | sign)
 
 
 def test_codec_properties_on_random_binary32_bit_patterns():
@@ -270,11 +276,11 @@ def test_codec_properties_on_random_binary32_bit_patterns():
     x = np.concatenate([bits.view(np.float32), edges, -edges])
     finite = np.isfinite(x)
     codes = {}
-    for policy in (SAT, INF):
-        c = encode_array(x, policy)
-        assert np.array_equal(encode_array(decode_array(c), policy), c)
+    for overflow in (SATURATE, TO_INFINITY):
+        c = encode_array(x, overflow)
+        assert np.array_equal(encode_array(decode_array(c), overflow), c)
         assert np.all(c[np.isnan(x)] == NAN_F16)
-        codes[policy.overflow] = c
+        codes[overflow] = c
     assert not np.any(((codes[SATURATE] & 0x7FFF) == EXP_MASK) & finite)
     differ = codes[SATURATE] != codes[TO_INFINITY]
     assert np.array_equal(differ, finite & (np.abs(x) >= 65520.0))

@@ -392,7 +392,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for every subcommand, built once per process and shared: do not mutate it."""
     parser = _Parser(prog="evosynth",
                      description="Evolutionary synthesis of sparse half-precision networks.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -401,14 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="run configuration (JSON)")
     p.add_argument("--seed", type=int, default=None, help="override the master seed")
     p.add_argument("--out", default=None, help="output directory (overrides config out_dir)")
-    p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("quantize", help="convert a binary32 model file to binary16")
     p.add_argument("--model", required=True, help="input model (binary32 variant)")
     p.add_argument("--out", required=True, help="output model path")
     p.add_argument("--overflow", choices=("saturate", "inf"), default="saturate",
                    help="finite values beyond binary16 range: clamp or overflow to infinity")
-    p.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("metrics", help="evaluate a stored model on a dataset")
     p.add_argument("--model", required=True, help="model file")
@@ -418,25 +418,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluate on the model's validation split (default) or the full dataset")
     p.add_argument("--validation-fraction", type=float, default=TrainConfig.validation_fraction,
                    help="fraction used when deriving the validation split")
-    p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("report", help="render lineage charts and summary ratios")
     p.add_argument("--lineage", required=True, help="lineage.csv path")
     p.add_argument("--svg-out", required=True, help="directory for the SVG charts")
-    p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("inspect", help="print a model's shape and bookkeeping")
     p.add_argument("--model", required=True, help="model file")
-    p.set_defaults(func=cmd_inspect)
 
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        # looked up per call, so a replaced cmd_<name> is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except EvoSynthError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass, field, replace
 
 from .dataio import Dataset, save_lineage_report, save_model
-from .errors import DeadLayer
+from .errors import DeadLayer, IoError
 from .genetics import calibrate_alpha, encode_dna, synthesize_offspring
 from .halfprec import quantize_network
 from .netcore import (
@@ -163,8 +163,11 @@ def evolve(spec: list[LayerSpec], dataset: Dataset, cfg: EvolutionConfig,
     below generation 1, or whose synthesis hits a dead layer, ends the
     run: the lineage keeps only the generations before it and records the
     stop reason. Model files are named ``gen_<g>.json``; the report is
-    ``lineage.csv``.
+    ``lineage.csv``. ``out_dir`` must be an existing directory, checked
+    before any work: ``IoError`` otherwise.
     """
+    if out_dir is not None and not os.path.isdir(out_dir):
+        raise IoError(f"output directory {out_dir} is not an existing directory")
     seed_1 = derive_seed(cfg.master_seed, 1)
     ancestor = init_network(spec, substream(seed_1, 2))
     current, record = _train_quantize_record(ancestor, dataset, cfg, 1, 1.0, seed_1)

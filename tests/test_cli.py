@@ -354,6 +354,38 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+def _parse(*argv):
+    return cli.build_parser().parse_args(argv)
+
+
+def test_shared_parser_keeps_no_state_between_calls():
+    _parse("metrics", "--model", "m.json", "--data", "d.csv", "--split", "full",
+           "--validation-fraction", "0.3")
+    _parse("quantize", "--model", "m.json", "--out", "h.json", "--overflow", "inf")
+    _parse("evolve", "--config", "run.json", "--seed", "7")
+    metrics = _parse("metrics", "--model", "m.json", "--data", "d.csv")
+    assert metrics.split == "val"
+    assert metrics.validation_fraction == TrainConfig().validation_fraction
+    assert _parse("quantize", "--model", "m.json", "--out", "h.json").overflow == "saturate"
+    assert _parse("evolve", "--config", "run.json").seed is None
+
+
+def test_run_builds_the_parser_once(run_dir, monkeypatch, capsys):
+    model = str(run_dir / "gen_1.json")
+    assert run(["inspect", "--model", model]) == 0
+    built = []
+    real_init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    assert run(["inspect", "--model", model]) == 0
+    assert built == []
+    capsys.readouterr()
+
+
 # quantize
 
 

@@ -1,5 +1,7 @@
 """Generational loop: seeding, inheritance, stop rules, persistence."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from evosynth.dataio import (
     synth_gaussians,
 )
 from evosynth import netcore
-from evosynth.errors import DeadLayer
+from evosynth.errors import DeadLayer, IoError
 from evosynth.evolution import (
     COMPLETED,
     STOP_DEAD_LAYER,
@@ -253,6 +255,18 @@ def test_evolve_without_out_dir_writes_nothing(dataset, tmp_path, monkeypatch):
     lin = evolve(SPEC, dataset, _cfg(generations=2))
     assert len(lin.records) == 2
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("make", [lambda path: None, lambda path: path.write_text("")],
+                         ids=["missing", "regular-file"])
+def test_evolve_checks_out_dir_before_any_training(dataset, tmp_path, monkeypatch, make):
+    out = tmp_path / "out"
+    make(out)
+    trains = []
+    monkeypatch.setattr("evosynth.evolution.train", lambda *args, **kw: trains.append(args))
+    with pytest.raises(IoError, match=re.escape(str(out))):
+        evolve(SPEC, dataset, _cfg(), out_dir=str(out))
+    assert trains == []
 
 
 def test_evolve_draws_each_validation_split_once(dataset, monkeypatch):

@@ -51,7 +51,6 @@ from .evolution import (
 )
 from .genetics import (
     CalibrationResult,
-    SynapticProbabilityModel,
     calibrate_alpha,
     encode_dna,
     expected_density,
@@ -89,4 +88,4 @@ from .netcore import (
     validation_split,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"

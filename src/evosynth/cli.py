@@ -178,8 +178,7 @@ def _load_data_arg(arg: str, pick=None) -> Dataset:
     if pick is None:
         return dataset
     rows = pick(len(dataset))
-    return Dataset(features=dataset.features[rows], labels=dataset.labels[rows],
-                   n_classes=dataset.n_classes)
+    return Dataset(features=dataset.features[rows], labels=dataset.labels[rows])
 
 
 # deterministic SVG line charts
@@ -434,6 +433,8 @@ def run(argv=None) -> int:
         args = build_parser().parse_args(argv)
         # looked up per call, so a replaced cmd_<name> is the one that runs
         return globals()[f"cmd_{args.command}"](args)
+    except SystemExit as exc:  # argparse after --help; _Parser.error raises ConfigError
+        return exc.code
     except EvoSynthError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -12,11 +12,11 @@ followed by a newline, built by joining strings (Python's indented
 encoder runs in pure Python and is several times slower). Masks and
 binary16 codes are spelled by `_int_items`, with numpy digit arithmetic
 on the whole array; binary32 decimals and `alpha_history` go through
-the repr of a Python float list. A non-finite binary32 weight or bias,
-or a non-finite `alpha_history` entry, has no JSON spelling:
-`save_model` raises `NumericFailure` for it before the file is opened,
-and the loaders reject it with `IntegrityError`. `save_model` also
-applies the loader's mask rules before the file is opened: a mask entry
+the repr of a Python float list. Before the file is opened, `save_model`
+raises `NumericFailure` for a value that the loaders reject with
+`IntegrityError`: a non-finite binary32 weight, bias or `alpha_history`
+entry, which JSON cannot spell, or a binary16 NaN (infinities stay
+writable). Then it applies the loader's mask rules: a mask entry
 other than 0 or 1, or a masked-off weight that would not read back as
 +0.0, raises `IntegrityError` with the loader's message, and a 0/1 mask
 of any dtype is written as the integers 0 and 1.
@@ -124,7 +124,6 @@ def write_text(path: str, text: str) -> None:
 class Dataset:
     features: np.ndarray  # float32, [n_samples, n_features]
     labels: np.ndarray    # int64 class indices
-    n_classes: int
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -144,7 +143,7 @@ def load_csv_dataset(path: str) -> Dataset:
     """CSV with a header, real-valued feature columns and a final `label` column.
 
     Row numbers in diagnostics are 1-based file line numbers (the header
-    is line 1). Class count is max(label) + 1.
+    is line 1).
     """
     lines = read_text(path).splitlines()
     if not lines:
@@ -195,8 +194,7 @@ def load_csv_dataset(path: str) -> Dataset:
     if bad.any():
         row = linenos[int(np.argwhere(bad)[0][0])]
         raise NonFiniteFeature(f"{path} row {row}: non-finite feature value")
-    return Dataset(features=features, labels=np.asarray(labels, dtype=np.int64),
-                   n_classes=max(labels) + 1)
+    return Dataset(features=features, labels=np.asarray(labels, dtype=np.int64))
 
 
 def _read_idx_header(data: bytes, path: str, expected_magic: int, n_dims: int):
@@ -239,7 +237,7 @@ def load_idx(images: str, labels: str, limit: int | None = None) -> Dataset:
     raw = np.frombuffer(img_body[:take * n_rows * n_cols], dtype=np.uint8)
     features = (raw.astype(np.float32) / np.float32(255.0)).reshape(take, n_rows * n_cols)
     classes = np.frombuffer(lab_body[:take], dtype=np.uint8).astype(np.int64)
-    return Dataset(features=features, labels=classes, n_classes=int(classes.max()) + 1)
+    return Dataset(features=features, labels=classes)
 
 
 def check_synth_params(n_per_class: int, n_features: int, separation: float) -> None:
@@ -282,8 +280,7 @@ def _two_classes(features: np.ndarray, second: np.ndarray, separation: float) ->
     by +separation/2 or -separation/2."""
     features[~second, 0] -= separation / 2.0
     features[second, 0] += separation / 2.0
-    return Dataset(features=features.astype(np.float32), labels=second.astype(np.int64),
-                   n_classes=2)
+    return Dataset(features=features.astype(np.float32), labels=second.astype(np.int64))
 
 
 def synth_gaussians(n_per_class: int, n_features: int, separation: float,
@@ -333,17 +330,27 @@ def _file_values(values: np.ndarray, precision: str, failure: str):
     """`values` as a `precision` model file spells them, and the bit patterns
     they read back as: binary16 codes (uint16) for both, or binary32 decimals
     and the uint32 bits of their binary32 values. `NumericFailure(failure)`
-    for a non-finite binary32 value, which JSON cannot spell."""
+    for a value the loader rejects: a binary16 NaN, or a non-finite binary32
+    value, which JSON cannot spell."""
     if precision == "binary16":
         codes = encode_array(values).ravel()
+        if _has_nan_code(codes):
+            raise NumericFailure(failure)
         return codes, codes
     with np.errstate(over="ignore"):  # a float64 value beyond binary32 becomes inf
         f32 = np.ascontiguousarray(values, dtype=np.float32)
     if not np.isfinite(f32).all():
         raise NumericFailure(failure)
-    # 9 significant digits reproduce any binary32 value exactly
-    decimals = [float(f"{float(v):.9g}") for v in f32.reshape(-1)]
+    # 9 significant digits reproduce any binary32 value exactly; a memoryview
+    # yields Python floats one at a time, with no numpy scalar and no list
+    decimals = [float(f"{v:.9g}") for v in memoryview(f32.ravel())]
     return decimals, f32.view(np.uint32).ravel()
+
+
+def _has_nan_code(codes: np.ndarray) -> bool:
+    """Whether binary16 `codes` hold a NaN (all-ones exponent, non-zero fraction);
+    the infinities 0x7C00 and 0xFC00 stay legal, as quantize --overflow inf writes them."""
+    return bool(codes.size and (codes & 0x7FFF).max() > 0x7C00)
 
 
 def _file_mask(mask: np.ndarray, where: str) -> np.ndarray:
@@ -418,13 +425,14 @@ def save_model(net: Network, path: str, seed: int = 0,
     Half-precision networks store raw binary16 bit patterns; full ones
     store 9-significant-digit decimals. `seed` and `alpha_history` are
     lineage bookkeeping carried verbatim. Raises `NumericFailure` for a
-    non-finite binary32 parameter or `alpha_history` entry, and
-    `IntegrityError` for a mask entry other than 0 or 1 or a masked-off
-    weight that would not read back as +0.0, each before the file is
-    opened.
+    binary16 NaN or a non-finite binary32 parameter or `alpha_history`
+    entry, then `IntegrityError` for a mask entry other than 0 or 1 or a
+    masked-off weight that would not read back as +0.0, each before the
+    file is opened.
     """
     precision = "binary16" if net.precision_tag == HALF else "binary32"
     _, weights_key, bias_key = _VARIANTS[precision]
+    bad = "NaN" if precision == "binary16" else "non-finite"
     alphas = [float(a) for a in (alpha_history or [])]
     if not all(map(math.isfinite, alphas)):
         raise NumericFailure(f"cannot write {path}: alpha_history holds a non-finite value")
@@ -440,7 +448,7 @@ def save_model(net: Network, path: str, seed: int = 0,
     for i, layer in enumerate(net.layers):
         out_dim, in_dim = layer.weights.shape
         where = f"{path} layer {i}"
-        failure = f"cannot write {path}: layer {i} has a non-finite"
+        failure = f"cannot write {path}: layer {i} has a {bad}"
         mask = _file_mask(layer.mask, where)
         weights, bits = _file_values(layer.weights, precision, f"{failure} weight")
         if bits[mask == 0].any():  # the loader's masked-slot rule
@@ -532,9 +540,7 @@ def _layer_values(entry: dict, key: str, n: int, where: str, kind: str) -> np.nd
         codes = _uint_array(values, 0xFFFF)
         if codes is None:
             raise IntegrityError(f"{where}: {key} entries must be integers in [0, 65535]")
-        # an all-ones exponent with a non-zero fraction; the infinities
-        # 0x7C00 and 0xFC00 stay legal, as quantize --overflow inf writes them
-        if (codes & 0x7FFF).max() > 0x7C00:
+        if _has_nan_code(codes):
             raise IntegrityError(f"{where}: {key} holds a binary16 NaN code")
         return decode_array(codes)
     if not set(map(type, values)) <= {int, float}:

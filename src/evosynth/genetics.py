@@ -23,18 +23,6 @@ from .netcore import Network
 from .rng import uniform_layers
 
 
-@dataclass
-class SynapticProbabilityModel:
-    """Per-layer survival probabilities, congruent with the source network.
-
-    Entries are in [0, 1]; each layer's maximum-magnitude active synapse
-    has probability exactly 1, and masked or zero synapses have exactly 0.
-    """
-
-    layers: list[np.ndarray]  # float64 in [0, 1]
-    source_generation: int
-
-
 @dataclass(frozen=True)
 class CalibrationResult:
     """Outcome of inverting expected density for a target retention.
@@ -51,9 +39,12 @@ class CalibrationResult:
     iterations: int
 
 
-def encode_dna(net: Network) -> SynapticProbabilityModel:
+def encode_dna(net: Network) -> list[np.ndarray]:
     """Layer-normalized magnitude probabilities: p = |w| / max_active |w|.
 
+    One float64 array per layer, congruent with its weights. Entries are
+    in [0, 1]; each layer's maximum-magnitude active synapse has
+    probability exactly 1, and masked or zero synapses have exactly 0.
     Raises DeadLayer when a layer has no active synapse with nonzero
     weight, since its probabilities would be undefined (0/0).
     """
@@ -64,10 +55,10 @@ def encode_dna(net: Network) -> SynapticProbabilityModel:
         if peak == 0.0:
             raise DeadLayer(f"layer {i} has no active nonzero synapse")
         layers.append(mag / peak)
-    return SynapticProbabilityModel(layers=layers, source_generation=net.generation)
+    return layers
 
 
-def synthesis_probability(dna: SynapticProbabilityModel, alpha: float) -> list[np.ndarray]:
+def synthesis_probability(dna: list[np.ndarray], alpha: float) -> list[np.ndarray]:
     """Per-synapse sampling probabilities q = alpha * p.
 
     Raises ValueError unless alpha is in (0, 1]. p lies in [0, 1] by
@@ -75,10 +66,10 @@ def synthesis_probability(dna: SynapticProbabilityModel, alpha: float) -> list[n
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    return [alpha * p for p in dna.layers]
+    return [alpha * p for p in dna]
 
 
-def synthesize_offspring(dna: SynapticProbabilityModel, alpha: float, seed: int) -> list[np.ndarray]:
+def synthesize_offspring(dna: list[np.ndarray], alpha: float, seed: int) -> list[np.ndarray]:
     """Per-layer uint8 masks: one independent Bernoulli(q) draw per synapse,
     then neuron repair.
 
@@ -98,7 +89,7 @@ def synthesize_offspring(dna: SynapticProbabilityModel, alpha: float, seed: int)
     return masks
 
 
-def expected_density(dna: SynapticProbabilityModel, alpha: float) -> float:
+def expected_density(dna: list[np.ndarray], alpha: float) -> float:
     """Expected surviving fraction: sum of q over the count of p > 0.
 
     The repair rule is ignored, biasing the estimate low by at most
@@ -107,7 +98,7 @@ def expected_density(dna: SynapticProbabilityModel, alpha: float) -> float:
     qs = synthesis_probability(dna, alpha)
     active = 0
     q_sum = 0.0
-    for i, (p, q) in enumerate(zip(dna.layers, qs)):
+    for i, (p, q) in enumerate(zip(dna, qs)):
         n = int(np.count_nonzero(p))
         if n == 0:
             raise DeadLayer(f"layer {i} has no synapse with positive probability")
@@ -116,7 +107,7 @@ def expected_density(dna: SynapticProbabilityModel, alpha: float) -> float:
     return q_sum / active
 
 
-def calibrate_alpha(dna: SynapticProbabilityModel, target_retention: float) -> CalibrationResult:
+def calibrate_alpha(dna: list[np.ndarray], target_retention: float) -> CalibrationResult:
     """The global alpha whose expected density matches the target.
 
     Expected density is alpha * e(1), so alpha = min(1, target / e(1)).

@@ -13,7 +13,6 @@ import pytest
 from evosynth.dataio import load_lineage_report, load_model, load_model_meta, save_model, synth_gaussians
 from evosynth.evolution import EvolutionConfig, evolve
 from evosynth.genetics import (
-    SynapticProbabilityModel,
     calibrate_alpha,
     expected_density,
     synthesize_offspring,
@@ -142,8 +141,7 @@ def test_criterion_4_codec_exactness():
 
 
 def test_criterion_5_sampling_statistics():
-    dna = SynapticProbabilityModel(layers=[np.ones((1, 200), dtype=np.float64)],
-                                   source_generation=1)
+    dna = [np.ones((1, 200), dtype=np.float64)]
     alpha = 0.5
     trials = 100_000
     counts = np.zeros((1, 200), dtype=np.int64)
@@ -166,11 +164,10 @@ def test_criterion_5_sampling_statistics():
             if not np.count_nonzero(p):
                 p[0, 0] = 0.5
             layers.append(p)
-        rand_dna = SynapticProbabilityModel(layers=layers, source_generation=1)
-        reachable = expected_density(rand_dna, 1.0)
+        reachable = expected_density(layers, 1.0)
         target = reachable * (0.05 + 0.9 * uniform_block(substream(779, k), 1)[0])
-        result = calibrate_alpha(rand_dna, target)
-        achieved = expected_density(rand_dna, result.alpha)
+        result = calibrate_alpha(layers, target)
+        achieved = expected_density(layers, result.alpha)
         worst = max(worst, abs(achieved - target))
     inversion_ok = worst <= 1e-3
 

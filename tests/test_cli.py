@@ -292,7 +292,6 @@ def test_config_accepts_dataset_source(tmp_path, source, expected):
     got, want = cli.build_dataset(run_cfg.dataset_source), expected(tmp_path)
     assert got.features.tobytes() == want.features.tobytes()
     assert got.labels.tobytes() == want.labels.tobytes()
-    assert got.n_classes == want.n_classes
 
 
 def test_evolve_one_class_csv_is_data_error(tmp_path, capsys):
@@ -384,6 +383,16 @@ def test_run_builds_the_parser_once(run_dir, monkeypatch, capsys):
     assert run(["inspect", "--model", model]) == 0
     assert built == []
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["--help"], "usage: evosynth [-h]"), (["evolve", "--help"], "usage: evosynth evolve [-h]"),
+], ids=["top", "evolve"])
+def test_run_returns_0_for_help(argv, usage, capsys):
+    assert run(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(usage)
+    assert err == ""
 
 
 # quantize

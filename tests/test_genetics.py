@@ -7,7 +7,6 @@ from hypothesis.extra import numpy as hnp
 
 from evosynth.errors import DeadLayer
 from evosynth.genetics import (
-    SynapticProbabilityModel,
     calibrate_alpha,
     encode_dna,
     expected_density,
@@ -24,9 +23,8 @@ def _net_from_weights(rows, mask=None):
     return Network([layer], generation=3)
 
 
-def _spm(arrays, generation=1):
-    return SynapticProbabilityModel(layers=[np.asarray(a, dtype=np.float64) for a in arrays],
-                                    source_generation=generation)
+def _spm(arrays):
+    return [np.asarray(a, dtype=np.float64) for a in arrays]
 
 
 # encoding
@@ -35,21 +33,20 @@ def _spm(arrays, generation=1):
 def test_encode_dna_magnitude_normalized():
     net = _net_from_weights([[2.0, 1.0, 0.0]])
     dna = encode_dna(net)
-    assert dna.layers[0].tolist() == [[1.0, 0.5, 0.0]]
-    assert dna.source_generation == 3
+    assert dna[0].tolist() == [[1.0, 0.5, 0.0]]
 
 
 def test_encode_dna_equal_weights_all_one():
     net = _net_from_weights([[0.3, -0.3], [0.3, 0.3]])
     dna = encode_dna(net)
-    assert np.all(dna.layers[0] == 1.0)
+    assert np.all(dna[0] == 1.0)
 
 
 def test_encode_dna_zero_where_masked():
     net = _net_from_weights([[2.0, 5.0]], mask=[[1, 0]])
     dna = encode_dna(net)
     # the masked 5.0 is zeroed by construction, so 2.0 is the layer peak
-    assert dna.layers[0].tolist() == [[1.0, 0.0]]
+    assert dna[0].tolist() == [[1.0, 0.0]]
 
 
 def test_encode_dna_dead_layer():
@@ -62,7 +59,7 @@ def test_encode_dna_dead_layer():
 def test_encode_dna_every_layer_peaks_at_one():
     net = init_network([LayerSpec(6, 5), LayerSpec(5, 4), LayerSpec(4, 2)], seed=77)
     dna = encode_dna(net)
-    for p in dna.layers:
+    for p in dna:
         assert p.max() == 1.0
         assert p.min() >= 0.0
 
@@ -72,7 +69,7 @@ def test_encode_dna_scale_invariant_power_of_two():
     scaled = _net_from_weights([[0.7 * 8, -0.3 * 8, 0.1 * 8], [0.05 * 8, 0.2 * 8, -0.9 * 8]])
     a, b = encode_dna(base), encode_dna(scaled)
     # power-of-two scaling is exact in binary floating point
-    assert np.array_equal(a.layers[0], b.layers[0])
+    assert np.array_equal(a[0], b[0])
 
 
 def test_encode_dna_scale_invariant_general_within_ulps():
@@ -81,7 +78,7 @@ def test_encode_dna_scale_invariant_general_within_ulps():
     for c in (3.0, 0.1234, 7.77):
         a = encode_dna(_net_from_weights(w))
         b = encode_dna(_net_from_weights(w * np.float32(c)))
-        assert np.allclose(a.layers[0], b.layers[0], rtol=1e-6, atol=0.0)
+        assert np.allclose(a[0], b[0], rtol=1e-6, atol=0.0)
 
 
 # synthesis probabilities
@@ -162,7 +159,7 @@ def test_offspring_subset_of_parent_active_set():
     keep[:, 0] = 1
     net = _net_from_weights(w, mask=keep)
     dna = encode_dna(net)
-    parent_active = dna.layers[0] > 0
+    parent_active = dna[0] > 0
     for seed in range(50):
         child = synthesize_offspring(dna, 0.6, seed=seed)
         assert not np.any(child[0] & ~parent_active)

@@ -915,7 +915,7 @@ FEATURE_ENTRY_POINTS = {
     "mean_loss": mean_loss,
     "gradients": gradients,
     "evaluate_classifier": evaluate_classifier,
-    "train": lambda net, x, y: train(net, Dataset(x, y, 2), TrainConfig(max_epochs=0, seed=1)),
+    "train": lambda net, x, y: train(net, Dataset(x, y), TrainConfig(max_epochs=0, seed=1)),
 }
 
 
@@ -1038,7 +1038,7 @@ def test_train_dataset_too_small():
 def test_train_rejects_bad_labels():
     ds = _toy_dataset()
     net = init_network([LayerSpec(4, 4), LayerSpec(4, 2)], seed=1)
-    bad = type(ds)(features=ds.features, labels=ds.labels + 1, n_classes=3)
+    bad = type(ds)(features=ds.features, labels=ds.labels + 1)
     with pytest.raises(InvalidLabel):
         train(net, bad, TrainConfig(seed=0))
 
@@ -1078,7 +1078,7 @@ def test_train_rejects_non_finite_features(value, column, max_epochs):
     features = ds.features.copy()
     features[7, 1 if column == "dead" else 0] = value
     with pytest.raises(NumericFailure, match="non-finite feature value"):
-        train(net, Dataset(features, ds.labels, ds.n_classes),
+        train(net, Dataset(features, ds.labels),
               TrainConfig(max_epochs=max_epochs, seed=1))
 
 
@@ -1226,8 +1226,8 @@ def test_evaluate_matches_per_class_loop():
 @pytest.mark.parametrize("call, n_rows, n_labels", [
     (lambda x, y: evaluate_classifier(_argmax_net(), x, y), 5, 3),
     (lambda x, y: evaluate_classifier(_argmax_net(), x, y), 0, 0),
-    (lambda x, y: train(_argmax_net(), Dataset(x, y, 2), TrainConfig(max_epochs=1)), 200, 150),
-    (lambda x, y: train(_argmax_net(), Dataset(x, y, 2), TrainConfig(max_epochs=1)), 150, 200),
+    (lambda x, y: train(_argmax_net(), Dataset(x, y), TrainConfig(max_epochs=1)), 200, 150),
+    (lambda x, y: train(_argmax_net(), Dataset(x, y), TrainConfig(max_epochs=1)), 150, 200),
 ], ids=["5-rows-3-labels", "empty", "train-200-rows-150-labels", "train-150-rows-200-labels"])
 def test_evaluate_rejects_mismatched_or_empty_batch(call, n_rows, n_labels):
     with pytest.raises(ShapeMismatch):

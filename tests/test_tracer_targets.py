@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from evosynth.genetics import SynapticProbabilityModel, calibrate_alpha
+from evosynth.genetics import calibrate_alpha
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -42,7 +42,7 @@ def test_calibration_result_has_what_the_tracer_reads():
     read = {n.attr for n in ast.walk(counter)
             if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "result"}
     assert read
-    dna = SynapticProbabilityModel(layers=[np.array([[0.5, 1.0]])], source_generation=1)
+    dna = [np.array([[0.5, 1.0]])]
     result = calibrate_alpha(dna, 0.5)
     for attr in read:
         assert hasattr(result, attr), f"CalibrationResult has no {attr!r}"

@@ -8,6 +8,7 @@ gradients, and then constrained to IEEE 754 binary16.
 
 from .dataio import (
     Dataset,
+    GenerationRecord,
     ModelMeta,
     load_csv_dataset,
     load_idx,
@@ -43,7 +44,6 @@ from .errors import (
 )
 from .evolution import (
     EvolutionConfig,
-    GenerationRecord,
     Lineage,
     derive_seed,
     evolve,
@@ -88,4 +88,4 @@ from .netcore import (
     validation_split,
 )
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"

@@ -284,19 +284,11 @@ def cmd_evolve(args) -> int:
         "generations_requested": cfg.generations,
         "generations_run": len(lineage.records),
         "master_seed": cfg.master_seed,
-        "active_synapses_first": first.active_synapses,
-        "active_synapses_last": last.active_synapses,
         "synapse_reduction_ratio": first.active_synapses / last.active_synapses,
-        "macs_first": first.macs,
-        "macs_last": last.macs,
         "macs_speedup_proxy": first.macs / last.macs,
-        "precision_first": first.precision_metric,
-        "precision_last": last.precision_metric,
-        "recall_first": first.recall_metric,
-        "recall_last": last.recall_metric,
-        "f1_first": first.f1,
-        "f1_last": last.f1,
     }
+    for name in ("active_synapses", "macs", "precision", "recall", "f1"):
+        summary[f"{name}_first"], summary[f"{name}_last"] = getattr(first, name), getattr(last, name)
     write_text(os.path.join(out_dir, "run_summary.json"),
                json.dumps(summary, indent=1, sort_keys=True) + "\n")
     print(f"{len(lineage.records)} generation(s) written to {out_dir} ({lineage.stop_reason})")

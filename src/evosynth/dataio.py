@@ -13,13 +13,16 @@ encoder runs in pure Python and is several times slower). Masks and
 binary16 codes are spelled by `_int_items`, with numpy digit arithmetic
 on the whole array; binary32 decimals and `alpha_history` go through
 the repr of a Python float list. Before the file is opened, `save_model`
-raises `NumericFailure` for a value that the loaders reject with
-`IntegrityError`: a non-finite binary32 weight, bias or `alpha_history`
-entry, which JSON cannot spell, or a binary16 NaN (infinities stay
-writable). Then it applies the loader's mask rules: a mask entry
-other than 0 or 1, or a masked-off weight that would not read back as
-+0.0, raises `IntegrityError` with the loader's message, and a 0/1 mask
-of any dtype is written as the integers 0 and 1.
+raises `IntegrityError` for a structure that the loaders reject: a
+generation that is not an integer, layer sizes, chaining or activation
+names that `netcore.check_spec` rejects, or a mask or bias whose shape
+does not fit its weights. Next it raises `NumericFailure` for a value
+that the loaders reject with `IntegrityError`: a non-finite binary32
+weight, bias or `alpha_history` entry, which JSON cannot spell, or a
+binary16 NaN (infinities stay writable). Then it applies the loader's
+mask rules: a mask entry other than 0 or 1, or a masked-off weight that
+would not read back as +0.0, raises `IntegrityError` with the loader's
+message, and a 0/1 mask of any dtype is written as the integers 0 and 1.
 
 Every text file the package reads or writes goes through `read_text`,
 `read_json` and `write_text`: UTF-8 without newline translation, and a
@@ -32,7 +35,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, get_type_hints
 
 import numpy as np
 
@@ -43,6 +46,7 @@ from .errors import (
     FormatVersionUnsupported,
     IntegrityError,
     InvalidParam,
+    InvalidSpec,
     IoError,
     NonFiniteFeature,
     NumericFailure,
@@ -50,7 +54,7 @@ from .errors import (
     TruncatedFile,
 )
 from .halfprec import decode_array, encode_array
-from .netcore import ACTIVATIONS, DenseLayer, FULL, HALF, Network
+from .netcore import ACTIVATIONS, DenseLayer, FULL, HALF, LayerSpec, Network, check_spec
 from .rng import uniform_at, uniform_block
 
 if TYPE_CHECKING:
@@ -61,21 +65,6 @@ FORMAT_VERSION = 1
 # a model file's precision -> (Network.precision_tag, weights key, bias key)
 _VARIANTS = {"binary16": (HALF, "weights_f16", "bias_f16"),
              "binary32": (FULL, "weights_f32", "bias_f32")}
-
-# lineage.csv columns: (header, GenerationRecord field, integer?)
-_LINEAGE_COLUMNS = (
-    ("generation", "generation", True),
-    ("alpha", "alpha_used", False),
-    ("active_synapses", "active_synapses", True),
-    ("total_synapses", "total_synapses", True),
-    ("macs", "macs", True),
-    ("train_loss", "train_loss", False),
-    ("precision", "precision_metric", False),
-    ("recall", "recall_metric", False),
-    ("f1", "f1", False),
-    ("seed", "seed", True),
-)
-LINEAGE_HEADER = ",".join(header for header, _, _ in _LINEAGE_COLUMNS)
 
 
 def read_text(path: str) -> str:
@@ -137,6 +126,29 @@ class ModelMeta:
     precision: str  # "binary16" or "binary32"
     seed: int
     alpha_history: list[float]
+
+
+@dataclass
+class GenerationRecord:
+    """One lineage row; its fields, in order, are the columns of lineage.csv.
+    Metrics are macro averages over the validation split of the stored
+    (quantized) model; train_loss is the pre-quantization network's mean
+    loss over its training split."""
+
+    generation: int
+    alpha: float
+    active_synapses: int
+    total_synapses: int
+    macs: int
+    train_loss: float
+    precision: float
+    recall: float
+    f1: float
+    seed: int
+
+
+_LINEAGE_COLUMNS = get_type_hints(GenerationRecord)  # column name -> int or float, in order
+LINEAGE_HEADER = ",".join(_LINEAGE_COLUMNS)
 
 
 def load_csv_dataset(path: str) -> Dataset:
@@ -424,12 +436,23 @@ def save_model(net: Network, path: str, seed: int = 0,
 
     Half-precision networks store raw binary16 bit patterns; full ones
     store 9-significant-digit decimals. `seed` and `alpha_history` are
-    lineage bookkeeping carried verbatim. Raises `NumericFailure` for a
-    binary16 NaN or a non-finite binary32 parameter or `alpha_history`
-    entry, then `IntegrityError` for a mask entry other than 0 or 1 or a
-    masked-off weight that would not read back as +0.0, each before the
-    file is opened.
+    lineage bookkeeping carried verbatim. Raises `IntegrityError` for a
+    structure the loader rejects (see the module docstring), then
+    `NumericFailure` for a binary16 NaN or a non-finite binary32 parameter
+    or `alpha_history` entry, then `IntegrityError` for a mask entry other
+    than 0 or 1 or a masked-off weight that would not read back as +0.0,
+    each before the file is opened.
     """
+    if isinstance(net.generation, bool) or not isinstance(net.generation, (int, np.integer)):
+        raise IntegrityError(f"{path}: field 'generation' must be an integer")
+    try:  # the loader's size, chain and activation rules
+        check_spec([LayerSpec(l.weights.shape[1], l.weights.shape[0], l.activation)
+                    for l in net.layers])
+    except InvalidSpec as exc:
+        raise IntegrityError(f"{path}: {exc}") from None
+    for i, l in enumerate(net.layers):
+        if l.mask.shape != l.weights.shape or l.bias.shape != l.weights.shape[:1]:
+            raise IntegrityError(f"{path} layer {i}: mask or bias does not fit weights {l.weights.shape}")
     precision = "binary16" if net.precision_tag == HALF else "binary32"
     _, weights_key, bias_key = _VARIANTS[precision]
     bad = "NaN" if precision == "binary16" else "non-finite"
@@ -438,7 +461,7 @@ def save_model(net: Network, path: str, seed: int = 0,
         raise NumericFailure(f"cannot write {path}: alpha_history holds a non-finite value")
     doc = {
         "format_version": FORMAT_VERSION,
-        "generation": net.generation,
+        "generation": int(net.generation),
         "precision": precision,
         "activation": [l.activation for l in net.layers],
         "layers": [],
@@ -608,8 +631,8 @@ def save_lineage_report(lineage: "Lineage", path: str) -> None:
     """CSV with one row per generation; byte-deterministic for equal input."""
     out = [LINEAGE_HEADER]
     for r in lineage.records:
-        out.append(",".join(str(getattr(r, field)) if integer else f"{getattr(r, field):.6g}"
-                            for _, field, integer in _LINEAGE_COLUMNS))
+        out.append(",".join(str(getattr(r, name)) if kind is int else f"{getattr(r, name):.6g}"
+                            for name, kind in _LINEAGE_COLUMNS.items()))
     write_text(path, "\n".join(out) + "\n")
 
 
@@ -646,9 +669,9 @@ def load_lineage_report(path: str) -> list[dict]:
             raise ParseError(f"{path} line {lineno}: expected {len(_LINEAGE_COLUMNS)} columns, "
                              f"got {len(cells)}")
         row = {}
-        for (name, _, integer), cell in zip(_LINEAGE_COLUMNS, cells):
+        for (name, kind), cell in zip(_LINEAGE_COLUMNS.items(), cells):
             try:
-                row[name] = _uint64(cell) if integer else _finite(cell)
+                row[name] = _uint64(cell) if kind is int else _finite(cell)
             except ValueError:
                 raise ParseError(f"{path} line {lineno}: bad value for {name}: {cell!r}") from None
         rows.append(row)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 
-from .dataio import Dataset, save_lineage_report, save_model
+from .dataio import Dataset, GenerationRecord, save_lineage_report, save_model
 from .errors import DeadLayer, IoError
 from .genetics import calibrate_alpha, encode_dna, synthesize_offspring
 from .halfprec import quantize_network
@@ -84,32 +84,13 @@ class EvolutionConfig:
 
 
 @dataclass
-class GenerationRecord:
-    """One lineage row. Metrics are macro averages over the validation split
-    of the stored (quantized) model; train_loss is the pre-quantization
-    network's mean loss over its training split."""
-
-    generation: int
-    alpha_used: float
-    active_synapses: int
-    total_synapses: int
-    macs: int
-    train_loss: float
-    precision_metric: float
-    recall_metric: float
-    f1: float
-    seed: int
-    model_path: str
-
-
-@dataclass
 class Lineage:
     records: list[GenerationRecord]
     stop_reason: str = COMPLETED
 
 
 def _train_quantize_record(child: Network, dataset: Dataset, cfg: EvolutionConfig,
-                           g: int, alpha_used: float, seed_g: int):
+                           g: int, alpha: float, seed_g: int):
     train_cfg = replace(cfg.train, seed=training_seed(seed_g))
     trained, log = train(child, dataset, train_cfg)
     quantized = quantize_network(trained)
@@ -117,16 +98,15 @@ def _train_quantize_record(child: Network, dataset: Dataset, cfg: EvolutionConfi
     metrics = evaluate_classifier(quantized, dataset.features[val_idx], dataset.labels[val_idx])
     record = GenerationRecord(
         generation=g,
-        alpha_used=alpha_used,
+        alpha=alpha,
         active_synapses=count_active_synapses(quantized),
         total_synapses=sum(l.weights.size for l in quantized.layers),
         macs=inference_cost(quantized),
         train_loss=mean_loss(trained, dataset.features[train_idx], dataset.labels[train_idx]),
-        precision_metric=metrics["macro_precision"],
-        recall_metric=metrics["macro_recall"],
+        precision=metrics["macro_precision"],
+        recall=metrics["macro_recall"],
         f1=metrics["macro_f1"],
         seed=seed_g,
-        model_path=f"gen_{g}.json",
     )
     return quantized, record
 
@@ -151,8 +131,8 @@ def step_generation(parent: Network, dataset: Dataset, cfg: EvolutionConfig,
 
 def _persist(net: Network, records: list[GenerationRecord], out_dir: str | None) -> None:
     if out_dir is not None:
-        save_model(net, os.path.join(out_dir, records[-1].model_path), seed=records[-1].seed,
-                   alpha_history=[r.alpha_used for r in records])
+        save_model(net, os.path.join(out_dir, f"gen_{net.generation}.json"), seed=records[-1].seed,
+                   alpha_history=[r.alpha for r in records])
 
 
 def evolve(spec: list[LayerSpec], dataset: Dataset, cfg: EvolutionConfig,

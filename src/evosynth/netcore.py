@@ -371,7 +371,7 @@ def _probabilities(plan, x: np.ndarray) -> np.ndarray:
     """
     ws, bs, acts, keep = plan
     _finite(x)
-    with np.errstate(invalid="ignore"):  # a +inf logit makes inf - inf; caught below
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow, then inf - inf: caught below
         _, logits = _forward_core(ws, bs, acts, _columns(x, keep))
         probs = np.exp(_log_softmax(logits)).astype(np.float32)
     if not np.isfinite(probs).all():
@@ -454,7 +454,8 @@ def mean_loss(net: Network, batch_inputs: np.ndarray, batch_labels: np.ndarray) 
     x, y = _batch(net, batch_inputs, batch_labels)
     _finite(x)
     ws, bs, acts, keep = _plan(net)
-    return _loss(ws, bs, acts, _columns(x, keep), y)
+    with np.errstate(over="ignore", invalid="ignore"):  # float64 overflow: a non-finite loss
+        return _loss(ws, bs, acts, _columns(x, keep), y)
 
 
 def _grad_masks(masks: Sequence[np.ndarray]) -> list:
@@ -497,9 +498,10 @@ def gradients(net: Network, batch_inputs: np.ndarray, batch_labels: np.ndarray) 
     ws, bs, acts = _working_params(net)
     w_grads = [np.empty_like(w) for w in ws]
     b_grads = [np.empty_like(b) for b in bs]
-    loss = _backprop(ws, bs, acts, _grad_masks([l.mask for l in net.layers]),
-                     np.asarray(x, dtype=np.float64), y, np.eye(net.n_classes)[y],
-                     w_grads, b_grads)
+    with np.errstate(over="ignore", invalid="ignore"):  # float64 overflow: non-finite values
+        loss = _backprop(ws, bs, acts, _grad_masks([l.mask for l in net.layers]),
+                         np.asarray(x, dtype=np.float64), y, np.eye(net.n_classes)[y],
+                         w_grads, b_grads)
     return Gradients(weights=w_grads, biases=b_grads, loss=loss)
 
 
@@ -547,7 +549,7 @@ def train(net: Network, dataset: "Dataset", cfg: TrainConfig) -> tuple[Network, 
     against the dense loop bit for bit. A NaN or infinite parameter
     anywhere in ``net``, or feature anywhere in ``dataset`` (the one rule
     for features, see the module docstring), raises ``NumericFailure``
-    before any work is done.
+    before any work is done; a diverging run raises it, with no numpy warning.
 
     The live parameters, velocities and gradients are one flat buffer each,
     with a C-contiguous view per layer: the momentum step is three calls
@@ -584,45 +586,46 @@ def train(net: Network, dataset: "Dataset", cfg: TrainConfig) -> tuple[Network, 
     onehot = np.eye(net.n_classes)
 
     log = TrainingLog(train_indices=train_idx, val_indices=val_idx)
-    best_val = _loss(ws, bs, acts, x_val, y_val)
     best = params.copy()
     epochs_since_best = 0
-
     momentum, lr, size = cfg.momentum, cfg.learning_rate, cfg.batch_size
-    for epoch in range(1, cfg.max_epochs + 1):
-        shuffled = train_idx[permutation(len(train_idx), substream(cfg.seed, epoch))]
-        x_ep, y_ep = x[shuffled], y[shuffled]
-        hot_ep = onehot[y_ep]
-        loss_sum = 0.0
-        for start in range(0, len(shuffled), size):
-            y_b = y_ep[start:start + size]
-            loss = _backprop(ws, bs, acts, grad_masks, x_ep[start:start + size], y_b,
-                             hot_ep[start:start + size], w_grads, b_grads)
-            if not math.isfinite(loss):
-                raise NumericFailure(f"non-finite training loss at epoch {epoch}")
-            loss_sum += loss * len(y_b)
-            # v <- momentum * v - lr * g over every parameter at once; lr * g
-            # overwrites the gradients, which the next batch rewrites
-            vel *= momentum
-            vel -= np.multiply(grads, lr, out=grads)
-            params += vel
-        if not np.isfinite(params[:n_weights]).all():
-            raise NumericFailure(f"non-finite weight at epoch {epoch}")
-        epoch_val = _loss(ws, bs, acts, x_val, y_val)
-        if not np.isfinite(epoch_val):
-            raise NumericFailure(f"non-finite validation loss at epoch {epoch}")
-        log.train_losses.append(loss_sum / len(shuffled))
-        log.val_losses.append(epoch_val)
-        if epoch_val < best_val:
-            best_val = epoch_val
-            np.copyto(best, params)
-            log.best_epoch = epoch
-            epochs_since_best = 0
-        else:
-            epochs_since_best += 1
-            if epochs_since_best >= cfg.patience:
-                log.stopped_early = True
-                break
+    # float64 overflow, then inf - inf, is a divergence that the checks below report
+    with np.errstate(over="ignore", invalid="ignore"):
+        best_val = _loss(ws, bs, acts, x_val, y_val)
+        for epoch in range(1, cfg.max_epochs + 1):
+            shuffled = train_idx[permutation(len(train_idx), substream(cfg.seed, epoch))]
+            x_ep, y_ep = x[shuffled], y[shuffled]
+            hot_ep = onehot[y_ep]
+            loss_sum = 0.0
+            for start in range(0, len(shuffled), size):
+                y_b = y_ep[start:start + size]
+                loss = _backprop(ws, bs, acts, grad_masks, x_ep[start:start + size], y_b,
+                                 hot_ep[start:start + size], w_grads, b_grads)
+                if not math.isfinite(loss):
+                    raise NumericFailure(f"non-finite training loss at epoch {epoch}")
+                loss_sum += loss * len(y_b)
+                # v <- momentum * v - lr * g over every parameter at once; lr * g
+                # overwrites the gradients, which the next batch rewrites
+                vel *= momentum
+                vel -= np.multiply(grads, lr, out=grads)
+                params += vel
+            if not np.isfinite(params[:n_weights]).all():
+                raise NumericFailure(f"non-finite weight at epoch {epoch}")
+            epoch_val = _loss(ws, bs, acts, x_val, y_val)
+            if not np.isfinite(epoch_val):
+                raise NumericFailure(f"non-finite validation loss at epoch {epoch}")
+            log.train_losses.append(loss_sum / len(shuffled))
+            log.val_losses.append(epoch_val)
+            if epoch_val < best_val:
+                best_val = epoch_val
+                np.copyto(best, params)
+                log.best_epoch = epoch
+                epochs_since_best = 0
+            else:
+                epochs_since_best += 1
+                if epochs_since_best >= cfg.patience:
+                    log.stopped_early = True
+                    break
 
     layers = []
     best_ws, best_bs = _layer_views(best, ws, bs)

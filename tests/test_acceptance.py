@@ -71,9 +71,9 @@ def test_criterion_1_sparsification(five_runs):
 
 def test_criterion_2_metric_retention(five_runs):
     _, lineages, _, _ = five_runs
-    dp = [abs(lin.records[-1].precision_metric - lin.records[0].precision_metric)
+    dp = [abs(lin.records[-1].precision - lin.records[0].precision)
           for lin in lineages]
-    dr = [abs(lin.records[-1].recall_metric - lin.records[0].recall_metric)
+    dr = [abs(lin.records[-1].recall - lin.records[0].recall)
           for lin in lineages]
     med_p, med_r = statistics.median(dp), statistics.median(dr)
     ok = med_p <= 0.05 and med_r <= 0.05

@@ -267,6 +267,67 @@ def test_evolve_rejects_hostile_config(tmp_path, capsys, key, mutate):
     assert not (tmp_path / "out").exists()
 
 
+# the README's 16-64-32-2 run configuration
+README_CONFIG = {
+    "layers": [{"in_dim": 16, "out_dim": 64, "activation": "relu"},
+               {"in_dim": 64, "out_dim": 32, "activation": "relu"},
+               {"in_dim": 32, "out_dim": 2, "activation": "relu"}],
+    "dataset": {"type": "synthetic", "n_per_class": 500, "n_features": 16,
+                "separation": 3.0, "seed": 0},
+    "evolution": {"generations": 13, "retention_per_generation": 0.84, "master_seed": 1,
+                  "train": {"learning_rate": 0.05, "momentum": 0.9, "batch_size": 32,
+                            "max_epochs": 200, "patience": 10, "validation_fraction": 0.2}},
+}
+
+
+def test_evolve_divergence_is_one_error_line(tmp_path, capsys):
+    # float64 overflow in training would print numpy warnings (errors in this suite)
+    doc = json.loads(json.dumps(README_CONFIG))
+    doc["evolution"]["train"]["learning_rate"] = 1e20
+    cfg = _write_json(tmp_path / "run.json", dict(doc, out_dir=str(tmp_path / "out")))
+    assert run(["evolve", "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: non-finite training loss at epoch 1\n"
+
+
+def _evolve_argv(tmp_path, *flags):
+    cfg = _write_json(tmp_path / "run.json", _config_doc(out_dir=str(tmp_path / "out")))
+    return ["evolve", "--config", cfg, *flags]
+
+
+def _under_a_file(tmp_path):
+    (tmp_path / "file").write_text("")
+    return str(tmp_path / "file" / "sub")
+
+
+def _a_directory(tmp_path):
+    (tmp_path / "dir").mkdir()
+    return str(tmp_path / "dir")
+
+
+# argv built in tmp_path, exit code, message
+ARGUMENT_ERRORS = [
+    pytest.param(lambda d: _evolve_argv(d, "--seed", "-1"), 1,
+                 "master_seed must be a 64-bit unsigned integer", id="evolve-negative-seed"),
+    pytest.param(lambda d: _evolve_argv(d, "--out", _under_a_file(d)), 2,
+                 "cannot create directory", id="evolve-out-under-a-file"),
+    pytest.param(lambda d: ["quantize", "--model", _full_model(d, [[0.5, 1.0]]),
+                            "--out", _a_directory(d)], 2,
+                 "cannot write", id="quantize-out-is-a-directory"),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", ARGUMENT_ERRORS)
+def test_command_argument_errors(tmp_path, capsys, argv, code, message):
+    assert run(argv(tmp_path)) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 def _idx_source(tmp_path, limit):
     images, labels = tmp_path / "img.idx", tmp_path / "lab.idx"
     images.write_bytes(struct.pack(">IIII", 0x00000803, 3, 2, 2) + bytes(range(12)))
@@ -745,6 +806,28 @@ def test_inspect_rejects_bad_alpha_history(tmp_path, capsys, history):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "alpha_history" in err
+
+
+MALFORMED_FIELDS = [
+    pytest.param(_set("layers", 0, 5), "layer 0: must be a JSON object", id="layer-not-object"),
+    pytest.param(lambda doc: doc.pop("seed"), "missing field 'seed'", id="no-seed"),
+    pytest.param(_set("layers", 0, "in_dim", "2"), "field 'in_dim' must be an integer",
+                 id="string-in_dim"),
+    pytest.param(_set("layers", {}), "field 'layers' must be a list", id="layers-object"),
+]
+
+
+@pytest.mark.parametrize("mutate, message", MALFORMED_FIELDS)
+def test_inspect_rejects_malformed_fields(tmp_path, capsys, mutate, message):
+    path = tmp_path / "full.json"
+    _full_model(tmp_path, [[0.5, 1.0]])
+    doc = json.loads(path.read_text())
+    mutate(doc)
+    assert run(["inspect", "--model", _write_json(path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
 
 
 # json.dumps writes these as the bare tokens NaN, Infinity and -Infinity

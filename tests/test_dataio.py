@@ -4,6 +4,7 @@ import hashlib
 import json
 import struct
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,7 +37,14 @@ from evosynth.errors import (
 )
 from evosynth.evolution import GenerationRecord, Lineage
 from evosynth.halfprec import TO_INFINITY, encode_array, quantize_network
-from evosynth.netcore import ACTIVATIONS, LayerSpec, init_network, validation_split
+from evosynth.netcore import (
+    ACTIVATIONS,
+    DenseLayer,
+    LayerSpec,
+    Network,
+    init_network,
+    validation_split,
+)
 
 
 # CSV datasets
@@ -595,6 +603,37 @@ def test_save_model_rejects_nan_binary16(tmp_path, layer, name, masked):
     assert p.read_text() == "kept"  # raised before the file was opened
 
 
+def _dense(out_dim, in_dim, activation="relu"):
+    return DenseLayer(np.ones((out_dim, in_dim), np.float32), np.ones((out_dim, in_dim), np.uint8),
+                      np.zeros(out_dim, np.float32), activation)
+
+
+@pytest.mark.parametrize("layers, generation, match", [
+    ([_dense(0, 3)], 1, "layer 0: dimensions must be >= 1"),
+    ([_dense(2, 3), _dense(2, 4)], 1, "layer 0 out_dim 2 != layer 1 in_dim 4"),
+    ([_dense(2, 3, "tanh")], 1, "layer 0: unknown activation 'tanh'"),
+    ([replace(_dense(2, 3), bias=np.zeros(3, np.float32))], 1,
+     r"layer 0: mask or bias does not fit weights \(2, 3\)"),
+    ([_dense(2, 3)], 2.5, "field 'generation' must be an integer"),
+    ([replace(_dense(2, 3), mask=np.ones((2, 2), np.uint8))], 1,
+     r"layer 0: mask or bias does not fit weights \(2, 3\)"),
+    ([_dense(2, 3)], np.int64(5), None),
+], ids=["0x3 layer", "broken chain", "tanh", "bias length", "generation 2.5", "mask shape",
+        "numpy generation"])
+def test_save_model_writes_only_structures_its_loader_accepts(tmp_path, layers, generation, match):
+    net = Network(layers, generation=generation)
+    p = tmp_path / "m.json"
+    if match is None:
+        save_model(net, str(p))
+        back = load_model(str(p))
+        assert back.generation == 5 and type(back.generation) is int
+        return
+    with pytest.raises(IntegrityError, match=match) as info:
+        save_model(net, str(p))
+    assert info.value.exit_code == 2
+    assert not p.exists()  # raised before the file was opened
+
+
 def test_save_model_writes_float64_weights_as_the_binary32_values_they_load_as(tmp_path):
     net = _small_net()
     for layer in net.layers:
@@ -906,10 +945,10 @@ def test_model_missing_file():
 
 
 def _record(g, **kw):
-    base = dict(generation=g, alpha_used=1.0, active_synapses=100 - g,
+    base = dict(generation=g, alpha=1.0, active_synapses=100 - g,
                 total_synapses=128, macs=200 - g, train_loss=0.5 / g,
-                precision_metric=0.9, recall_metric=0.85, f1=0.875,
-                seed=42 + g, model_path=f"gen_{g}.json")
+                precision=0.9, recall=0.85, f1=0.875,
+                seed=42 + g)
     base.update(kw)
     return GenerationRecord(**base)
 
@@ -919,7 +958,7 @@ def _lineage(records):
 
 
 def test_lineage_round_trip(tmp_path):
-    lin = _lineage([_record(1), _record(2, alpha_used=0.8415926535, f1=0.25)])
+    lin = _lineage([_record(1), _record(2, alpha=0.8415926535, f1=0.25)])
     p = str(tmp_path / "lineage.csv")
     save_lineage_report(lin, p)
     text = (tmp_path / "lineage.csv").read_text()

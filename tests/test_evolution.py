@@ -132,10 +132,9 @@ def test_step_full_retention_preserves_mask_and_weights(tiny_dataset):
         np.testing.assert_array_equal(cl.weights, pl.weights)
     assert child.generation == 2
     assert child.precision_tag == "half"
-    assert rec.alpha_used == 1.0
+    assert rec.alpha == 1.0
     assert rec.generation == 2
     assert rec.seed == derive_seed(9, 2)
-    assert rec.model_path == "gen_2.json"
     assert rec.active_synapses == 18
     assert rec.total_synapses == 18
     assert rec.macs == 18 + 5
@@ -181,8 +180,8 @@ def test_evolve_completes_and_persists(dataset, tmp_path):
     assert [r.generation for r in lin.records] == [1, 2, 3, 4]
     for g, r in zip(range(1, 5), lin.records):
         assert r.seed == derive_seed(1, g)
-        assert 0.0 <= r.precision_metric <= 1.0
-        assert 0.0 <= r.recall_metric <= 1.0
+        assert 0.0 <= r.precision <= 1.0
+        assert 0.0 <= r.recall <= 1.0
         assert 0.0 <= r.f1 <= 1.0
         assert np.isfinite(r.train_loss) and r.train_loss >= 0.0
         assert r.total_synapses == 160
@@ -194,7 +193,7 @@ def test_evolve_completes_and_persists(dataset, tmp_path):
         meta = load_model_meta(f"{out}/gen_{g}.json")
         assert meta.precision == "binary16"
         assert meta.seed == r.seed
-        assert meta.alpha_history == [x.alpha_used for x in lin.records[:g]]
+        assert meta.alpha_history == [x.alpha for x in lin.records[:g]]
     rows = load_lineage_report(f"{out}/lineage.csv")
     assert [row["generation"] for row in rows] == [1, 2, 3, 4]
     assert [row["active_synapses"] for row in rows] == [r.active_synapses for r in lin.records]
@@ -213,7 +212,7 @@ def test_evolve_single_generation(dataset):
     assert len(lin.records) == 1
     assert lin.stop_reason == COMPLETED
     assert lin.records[0].generation == 1
-    assert lin.records[0].alpha_used == 1.0
+    assert lin.records[0].alpha == 1.0
 
 
 def test_evolve_stops_on_metric_drop(dataset):

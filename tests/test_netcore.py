@@ -1046,8 +1046,34 @@ def test_train_rejects_bad_labels():
 def test_train_numeric_failure_on_divergence():
     ds = _toy_dataset()
     net = init_network([LayerSpec(4, 8), LayerSpec(8, 2)], seed=2)
-    with pytest.raises(NumericFailure), np.errstate(all="ignore"):
+    with pytest.raises(NumericFailure):
         train(net, ds, TrainConfig(learning_rate=1e12, max_epochs=50, patience=50, seed=4))
+
+
+@pytest.mark.parametrize("n_per_class, learning_rate, batch_size, match", [
+    (100, 1e20, 32, "non-finite training loss at epoch 2"),
+    (50, 1e40, 80, "non-finite validation loss at epoch 4"),
+], ids=["lr-1e20", "lr-1e40-batch-80"])
+def test_train_divergence_raises_without_numpy_warnings(n_per_class, learning_rate, batch_size,
+                                                        match):
+    # float64 overflow and then inf - inf would warn; the suite turns a
+    # RuntimeWarning into an error, so only train's own checks may speak
+    net = init_network([LayerSpec(4, 8), LayerSpec(8, 2)], 3)
+    cfg = TrainConfig(learning_rate=learning_rate, max_epochs=5, batch_size=batch_size, seed=2)
+    with pytest.raises(NumericFailure, match=match):
+        train(net, synth_gaussians(n_per_class, 4, 3.0, seed=1), cfg)
+
+
+def test_overflow_from_finite_values_gives_no_numpy_warning():
+    # finite float32 weights and features that overflow float64 after a few relu layers
+    net = init_network([LayerSpec(4, 8)] + [LayerSpec(8, 8)] * 7 + [LayerSpec(8, 2)], 1)
+    for layer in net.layers:
+        layer.weights[:] = 3e38
+    x, y = np.full((4, 4), 3e38, np.float32), np.array([0, 1, 0, 1])
+    assert math.isnan(mean_loss(net, x, y))
+    assert math.isnan(gradients(net, x, y).loss)
+    with pytest.raises(NumericFailure, match="non-finite class probability"):
+        forward_batch(net, x)
 
 
 @pytest.mark.parametrize("parameter, max_epochs", [("dead-bias", 5), ("live-weight", 0)])

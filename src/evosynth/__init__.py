@@ -88,4 +88,4 @@ from .netcore import (
     validation_split,
 )
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"

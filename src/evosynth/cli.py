@@ -264,6 +264,12 @@ def _make_dir(path: str) -> None:
         raise IoError(f"cannot create directory {path}: {exc}") from exc
 
 
+def _lineage_ratios(first, last) -> dict:
+    """A lineage's two ratios, from its first and last `GenerationRecord`."""
+    return {"synapse_reduction_ratio": first.active_synapses / last.active_synapses,
+            "macs_speedup_proxy": first.macs / last.macs}
+
+
 def cmd_evolve(args) -> int:
     run_cfg = load_run_config(args.config)
     cfg = run_cfg.evolution
@@ -284,8 +290,7 @@ def cmd_evolve(args) -> int:
         "generations_requested": cfg.generations,
         "generations_run": len(lineage.records),
         "master_seed": cfg.master_seed,
-        "synapse_reduction_ratio": first.active_synapses / last.active_synapses,
-        "macs_speedup_proxy": first.macs / last.macs,
+        **_lineage_ratios(first, last),
     }
     for name in ("active_synapses", "macs", "precision", "recall", "f1"):
         summary[f"{name}_first"], summary[f"{name}_last"] = getattr(first, name), getattr(last, name)
@@ -331,29 +336,25 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rows = load_lineage_report(args.lineage)
-    first, last = rows[0], rows[-1]
+    records = load_lineage_report(args.lineage)
     for name in ("active_synapses", "macs"):
-        if last[name] == 0:
+        if getattr(records[-1], name) == 0:
             raise ParseError(f"{args.lineage}: last generation has 0 {name}, so no ratio exists")
     _make_dir(args.svg_out)
-    gens = [float(r["generation"]) for r in rows]
+    gens = [float(r.generation) for r in records]
     write_line_chart(
         os.path.join(args.svg_out, "synapses_macs.svg"),
         "Active synapses and MACs by generation", "generation", "count",
-        [("active_synapses", gens, [float(r["active_synapses"]) for r in rows]),
-         ("macs", gens, [float(r["macs"]) for r in rows])],
+        [("active_synapses", gens, [float(r.active_synapses) for r in records]),
+         ("macs", gens, [float(r.macs) for r in records])],
     )
     write_line_chart(
         os.path.join(args.svg_out, "precision_recall.svg"),
         "Precision and recall by generation", "generation", "metric",
-        [("precision", gens, [r["precision"] for r in rows]),
-         ("recall", gens, [r["recall"] for r in rows])],
+        [("precision", gens, [r.precision for r in records]),
+         ("recall", gens, [r.recall for r in records])],
     )
-    print(json.dumps({
-        "synapse_reduction_ratio": first["active_synapses"] / last["active_synapses"],
-        "macs_speedup_proxy": first["macs"] / last["macs"],
-    }))
+    print(json.dumps(_lineage_ratios(records[0], records[-1])))
     return 0
 
 

@@ -14,15 +14,16 @@ binary16 codes are spelled by `_int_items`, with numpy digit arithmetic
 on the whole array; binary32 decimals and `alpha_history` go through
 the repr of a Python float list. Before the file is opened, `save_model`
 raises `IntegrityError` for a structure that the loaders reject: a
-generation that is not an integer, layer sizes, chaining or activation
-names that `netcore.check_spec` rejects, or a mask or bias whose shape
-does not fit its weights. Next it raises `NumericFailure` for a value
-that the loaders reject with `IntegrityError`: a non-finite binary32
-weight, bias or `alpha_history` entry, which JSON cannot spell, or a
-binary16 NaN (infinities stay writable). Then it applies the loader's
-mask rules: a mask entry other than 0 or 1, or a masked-off weight that
-would not read back as +0.0, raises `IntegrityError` with the loader's
-message, and a 0/1 mask of any dtype is written as the integers 0 and 1.
+generation that is not an integer, weights that are not 2-D, layer
+sizes, chaining or activation names that `netcore.check_spec` rejects,
+or a mask or bias whose shape does not fit its weights. Next it raises
+`NumericFailure` for a value that the loaders reject with
+`IntegrityError`: a non-finite binary32 weight, bias or `alpha_history`
+entry, which JSON cannot spell, or a binary16 NaN (infinities stay
+writable). Then it applies the loader's mask rules: a mask entry other
+than 0 or 1, or a masked-off weight that would not read back as +0.0,
+raises `IntegrityError` with the loader's message, and a 0/1 mask of
+any dtype is written as the integers 0 and 1.
 
 Every text file the package reads or writes goes through `read_text`,
 `read_json` and `write_text`: UTF-8 without newline translation, and a
@@ -35,7 +36,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
@@ -56,9 +57,6 @@ from .errors import (
 from .halfprec import decode_array, encode_array
 from .netcore import ACTIVATIONS, DenseLayer, FULL, HALF, LayerSpec, Network, check_spec
 from .rng import uniform_at, uniform_block
-
-if TYPE_CHECKING:
-    from .evolution import Lineage
 
 FORMAT_VERSION = 1
 
@@ -192,8 +190,9 @@ def load_csv_dataset(path: str) -> Dataset:
             raise ParseError(
                 f"{path} line {lineno}: label must be an integer, got {raw_label!r}"
             ) from None
-        if label < 0:
-            raise ParseError(f"{path} line {lineno}: label must be non-negative, got {label}")
+        if not 0 <= label < 2**63:
+            raise ParseError(f"{path} line {lineno}: label must be non-negative and fit int64, "
+                             f"got {label}")
         rows.append(values)
         labels.append(label)
         linenos.append(lineno)
@@ -445,6 +444,9 @@ def save_model(net: Network, path: str, seed: int = 0,
     """
     if isinstance(net.generation, bool) or not isinstance(net.generation, (int, np.integer)):
         raise IntegrityError(f"{path}: field 'generation' must be an integer")
+    for i, l in enumerate(net.layers):
+        if l.weights.ndim != 2:
+            raise IntegrityError(f"{path} layer {i}: weights must be 2-D, got shape {l.weights.shape}")
     try:  # the loader's size, chain and activation rules
         check_spec([LayerSpec(l.weights.shape[1], l.weights.shape[0], l.activation)
                     for l in net.layers])
@@ -627,10 +629,11 @@ def load_model_and_meta(path: str) -> tuple[Network, ModelMeta]:
 # lineage reports
 
 
-def save_lineage_report(lineage: "Lineage", path: str) -> None:
-    """CSV with one row per generation; byte-deterministic for equal input."""
+def save_lineage_report(records: list[GenerationRecord], path: str) -> None:
+    """CSV with one row per record, reals at 6 significant digits; re-saving
+    what `load_lineage_report` reads from a file this wrote gives its bytes."""
     out = [LINEAGE_HEADER]
-    for r in lineage.records:
+    for r in records:
         out.append(",".join(str(getattr(r, name)) if kind is int else f"{getattr(r, name):.6g}"
                             for name, kind in _LINEAGE_COLUMNS.items()))
     write_text(path, "\n".join(out) + "\n")
@@ -651,8 +654,8 @@ def _uint64(cell: str) -> int:
     return value
 
 
-def load_lineage_report(path: str) -> list[dict]:
-    """Parse a lineage CSV back into per-generation dicts (typed values).
+def load_lineage_report(path: str) -> list[GenerationRecord]:
+    """Parse a lineage CSV back into one `GenerationRecord` per data row.
 
     Blank lines are skipped; diagnostics name 1-based file line numbers.
     """
@@ -662,7 +665,7 @@ def load_lineage_report(path: str) -> list[dict]:
         raise ParseError(f"{path}: first line must be exactly the lineage header")
     if len(lines) < 2:
         raise ParseError(f"{path}: no data rows")
-    rows = []
+    records = []
     for lineno, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != len(_LINEAGE_COLUMNS):
@@ -674,5 +677,5 @@ def load_lineage_report(path: str) -> list[dict]:
                 row[name] = _uint64(cell) if kind is int else _finite(cell)
             except ValueError:
                 raise ParseError(f"{path} line {lineno}: bad value for {name}: {cell!r}") from None
-        rows.append(row)
-    return rows
+        records.append(GenerationRecord(**row))
+    return records

@@ -166,7 +166,6 @@ def evolve(spec: list[LayerSpec], dataset: Dataset, cfg: EvolutionConfig,
         records.append(rec)
         _persist(child, records, out_dir)
         current = child
-    lineage = Lineage(records=records, stop_reason=stop_reason)
     if out_dir is not None:
-        save_lineage_report(lineage, os.path.join(out_dir, "lineage.csv"))
-    return lineage
+        save_lineage_report(records, os.path.join(out_dir, "lineage.csv"))
+    return Lineage(records=records, stop_reason=stop_reason)

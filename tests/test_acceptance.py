@@ -280,7 +280,7 @@ def test_criterion_7_determinism_and_persistence(five_runs, tmp_path):
     for lin, d in zip(lineages, dirs):
         actives = [r.active_synapses for r in lin.records]
         monotone = monotone and all(a >= b for a, b in zip(actives, actives[1:]))
-        column = [row["active_synapses"] for row in load_lineage_report(str(d / "lineage.csv"))]
+        column = [row.active_synapses for row in load_lineage_report(str(d / "lineage.csv"))]
         monotone = monotone and column == actives
 
     ok = identical and round_trip and monotone

@@ -35,7 +35,7 @@ from evosynth.errors import (
     ParseError,
     TruncatedFile,
 )
-from evosynth.evolution import GenerationRecord, Lineage
+from evosynth.evolution import GenerationRecord
 from evosynth.halfprec import TO_INFINITY, encode_array, quantize_network
 from evosynth.netcore import (
     ACTIVATIONS,
@@ -98,6 +98,13 @@ def test_csv_label_must_be_integer(tmp_path):
 def test_csv_label_must_be_non_negative(tmp_path):
     p = _write(tmp_path / "d.csv", "x0,label\n1,-1\n")
     with pytest.raises(ParseError, match="non-negative"):
+        load_csv_dataset(p)
+
+
+@pytest.mark.parametrize("label", [str(2**63), str(10**29)])
+def test_csv_label_must_fit_int64(tmp_path, label):
+    p = _write(tmp_path / "d.csv", f"x0,label\n1,{2**63 - 1}\n\n2,{label}\n")
+    with pytest.raises(ParseError, match=f"line 4: label must be non-negative and fit int64, got {label}"):
         load_csv_dataset(p)
 
 
@@ -618,8 +625,13 @@ def _dense(out_dim, in_dim, activation="relu"):
     ([replace(_dense(2, 3), mask=np.ones((2, 2), np.uint8))], 1,
      r"layer 0: mask or bias does not fit weights \(2, 3\)"),
     ([_dense(2, 3)], np.int64(5), None),
+    ([DenseLayer(np.ones(3, np.float32), np.ones(3, np.uint8), np.zeros(3, np.float32))], 1,
+     r"layer 0: weights must be 2-D, got shape \(3,\)"),
+    ([_dense(2, 3), replace(_dense(2, 2), weights=np.ones((2, 2, 1), np.float32),
+                            mask=np.ones((2, 2, 1), np.uint8))], 1,
+     r"layer 1: weights must be 2-D, got shape \(2, 2, 1\)"),
 ], ids=["0x3 layer", "broken chain", "tanh", "bias length", "generation 2.5", "mask shape",
-        "numpy generation"])
+        "numpy generation", "1-D weights", "3-D weights"])
 def test_save_model_writes_only_structures_its_loader_accepts(tmp_path, layers, generation, match):
     net = Network(layers, generation=generation)
     p = tmp_path / "m.json"
@@ -953,32 +965,32 @@ def _record(g, **kw):
     return GenerationRecord(**base)
 
 
-def _lineage(records):
-    return Lineage(records=records)
-
-
 def test_lineage_round_trip(tmp_path):
-    lin = _lineage([_record(1), _record(2, alpha=0.8415926535, f1=0.25)])
+    records = [_record(1), _record(2, alpha=0.8415926535, f1=0.25)]
     p = str(tmp_path / "lineage.csv")
-    save_lineage_report(lin, p)
+    save_lineage_report(records, p)
     text = (tmp_path / "lineage.csv").read_text()
     lines = text.splitlines()
     assert lines[0] == LINEAGE_HEADER
     assert len(lines) == 3
     assert "0.841593" in lines[2]  # reals carry six significant digits
     rows = load_lineage_report(p)
-    assert rows[0]["generation"] == 1
-    assert isinstance(rows[0]["active_synapses"], int)
-    assert isinstance(rows[0]["alpha"], float)
-    assert rows[1]["f1"] == 0.25
-    assert rows[1]["seed"] == 44
-    assert rows[0]["train_loss"] == pytest.approx(0.5, abs=1e-6)
+    assert all(type(r) is GenerationRecord for r in rows)
+    assert rows[0].generation == 1
+    assert isinstance(rows[0].active_synapses, int)
+    assert isinstance(rows[0].alpha, float)
+    assert rows[1].alpha == 0.841593  # the file's digits, not the record's
+    assert rows[1].f1 == 0.25
+    assert rows[1].seed == 44
+    assert rows[0].train_loss == pytest.approx(0.5, abs=1e-6)
+    save_lineage_report(rows, str(tmp_path / "again.csv"))
+    assert (tmp_path / "again.csv").read_text() == text
 
 
 def test_lineage_byte_deterministic(tmp_path):
-    lin = _lineage([_record(1), _record(2)])
-    save_lineage_report(lin, str(tmp_path / "a.csv"))
-    save_lineage_report(lin, str(tmp_path / "b.csv"))
+    records = [_record(1), _record(2)]
+    save_lineage_report(records, str(tmp_path / "a.csv"))
+    save_lineage_report(records, str(tmp_path / "b.csv"))
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert (tmp_path / "a.csv").read_bytes().endswith(b"\n")
 

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from evosynth.dataio import (
+    GenerationRecord,
     load_lineage_report,
     load_model,
     load_model_meta,
+    save_lineage_report,
     save_model,
     synth_gaussians,
 )
@@ -195,8 +197,8 @@ def test_evolve_completes_and_persists(dataset, tmp_path):
         assert meta.seed == r.seed
         assert meta.alpha_history == [x.alpha for x in lin.records[:g]]
     rows = load_lineage_report(f"{out}/lineage.csv")
-    assert [row["generation"] for row in rows] == [1, 2, 3, 4]
-    assert [row["active_synapses"] for row in rows] == [r.active_synapses for r in lin.records]
+    assert [row.generation for row in rows] == [1, 2, 3, 4]
+    assert [row.active_synapses for row in rows] == [r.active_synapses for r in lin.records]
 
 
 def test_evolve_is_byte_deterministic(dataset, tmp_path):
@@ -205,6 +207,23 @@ def test_evolve_is_byte_deterministic(dataset, tmp_path):
         evolve(SPEC, dataset, _cfg(), out_dir=str(tmp_path / name))
     for fname in ("lineage.csv", "gen_1.json", "gen_4.json"):
         assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
+
+
+@pytest.mark.parametrize("master_seed", [1, 2])
+def test_lineage_csv_round_trips_through_generation_records(tmp_path, master_seed):
+    # the 16-64-32-2 acceptance run: 13 generations of typed rows
+    spec = [LayerSpec(16, 64, "relu"), LayerSpec(64, 32, "relu"), LayerSpec(32, 2, "relu")]
+    lin = evolve(spec, synth_gaussians(500, 16, 3.0, seed=0),
+                 EvolutionConfig(master_seed=master_seed), out_dir=str(tmp_path))
+    records = load_lineage_report(str(tmp_path / "lineage.csv"))
+    assert len(records) == len(lin.records) == 13
+    assert all(type(r) is GenerationRecord for r in records)
+    for got, want in zip(records, lin.records):
+        assert (got.generation, got.active_synapses, got.total_synapses, got.macs, got.seed) == (
+            want.generation, want.active_synapses, want.total_synapses, want.macs, want.seed)
+        assert got.f1 == pytest.approx(want.f1, rel=1e-5)
+    save_lineage_report(records, str(tmp_path / "resaved.csv"))
+    assert (tmp_path / "resaved.csv").read_bytes() == (tmp_path / "lineage.csv").read_bytes()
 
 
 def test_evolve_single_generation(dataset):

@@ -425,9 +425,17 @@ def run(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         # looked up per call, so a replaced cmd_<name> is the one that runs
-        return globals()[f"cmd_{args.command}"](args)
+        code = globals()[f"cmd_{args.command}"](args)
+        # a block-buffered stdout is written here, not at exit, where a failure escapes run
+        sys.stdout.flush()
+        return code
     except SystemExit as exc:  # argparse after --help; _Parser.error raises ConfigError
         return exc.code
+    except BrokenPipeError as exc:
+        # stdout's reader has gone: fd 1 goes to devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        return IoError.exit_code
     except EvoSynthError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

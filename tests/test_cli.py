@@ -74,6 +74,11 @@ def test_evolve_writes_everything(run_dir):
         summary["active_synapses_first"] / summary["active_synapses_last"])
     assert summary["macs_speedup_proxy"] == pytest.approx(
         summary["macs_first"] / summary["macs_last"])
+    # the last metrics are the last lineage.csv row at its 6 significant digits
+    last = dict(zip(LINEAGE_HEADER.split(","),
+                    (run_dir / "lineage.csv").read_text().splitlines()[-1].split(",")))
+    for name in ("precision", "recall", "f1"):
+        assert f"{summary[name + '_last']:.6g}" == last[name]
     keys = list(summary)
     assert keys == sorted(keys)
 
@@ -99,6 +104,13 @@ def test_evolve_is_reproducible(run_dir, tmp_path, capsys):
 # the acceptance run: 16-64-32-2, synth_gaussians(500, 16, 3.0, seed 0),
 # 13 generations, master seed 1. A change to any output byte moves it.
 ACCEPTANCE_SEED_1_DIGEST = "db2631e9e24a74a1919fe1608d5ba50d86bc5504af2d123cc937fc54e0a9db8f"
+ACCEPTANCE_CONFIG = {
+    "layers": [{"in_dim": a, "out_dim": b, "activation": "relu"}
+               for a, b in ((16, 64), (64, 32), (32, 2))],
+    "dataset": {"type": "synthetic", "n_per_class": 500, "n_features": 16,
+                "separation": 3.0, "seed": 0},
+    "evolution": {"generations": 13},
+}
 
 
 def _dir_digest(path):
@@ -109,13 +121,7 @@ def _dir_digest(path):
 
 
 def test_evolve_output_bytes_are_pinned(tmp_path, capsys):
-    widths = (16, 64, 32, 2)
-    doc = {"layers": [{"in_dim": a, "out_dim": b, "activation": "relu"}
-                      for a, b in zip(widths, widths[1:])],
-           "dataset": {"type": "synthetic", "n_per_class": 500, "n_features": 16,
-                       "separation": 3.0, "seed": 0},
-           "evolution": {"generations": 13}}
-    cfg = _write_json(tmp_path / "run.json", doc)
+    cfg = _write_json(tmp_path / "run.json", ACCEPTANCE_CONFIG)
     out = tmp_path / "out"
     assert run(["evolve", "--config", cfg, "--seed", "1", "--out", str(out)]) == 0
     capsys.readouterr()

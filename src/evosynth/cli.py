@@ -172,7 +172,7 @@ def _load_data_arg(arg: str, pick=None) -> Dataset:
         if pick is not None and source["type"] == "synthetic":
             rest = {key: value for key, value in source.items() if key != "type"}
             # before pick: an oversized source must fail here, not in drawing its split
-            check_synth_params(rest["n_per_class"], rest["n_features"], rest["separation"])
+            check_synth_params(**rest)
             return synth_gaussian_rows(**rest, rows=pick(2 * rest["n_per_class"]))
         dataset = build_dataset(source)
     if pick is None:
@@ -382,6 +382,13 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ConfigError(message)
+
+    def print_help(self, file=None):
+        # argparse's writer swallows a failed write, and --help exits before
+        # run's flush: written and flushed here, a closed stdout is run's error
+        file = file or sys.stdout
+        file.write(self.format_help())
+        file.flush()
 
 
 @functools.cache

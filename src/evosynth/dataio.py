@@ -14,16 +14,17 @@ binary16 codes are spelled by `_int_items`, with numpy digit arithmetic
 on the whole array; binary32 decimals and `alpha_history` go through
 the repr of a Python float list. Before the file is opened, `save_model`
 raises `IntegrityError` for a structure that the loaders reject: a
-generation that is not an integer, weights that are not 2-D, layer
-sizes, chaining or activation names that `netcore.check_spec` rejects,
-or a mask or bias whose shape does not fit its weights. Next it raises
-`NumericFailure` for a value that the loaders reject with
-`IntegrityError`: a non-finite binary32 weight, bias or `alpha_history`
-entry, which JSON cannot spell, or a binary16 NaN (infinities stay
-writable). Then it applies the loader's mask rules: a mask entry other
-than 0 or 1, or a masked-off weight that would not read back as +0.0,
-raises `IntegrityError` with the loader's message, and a 0/1 mask of
-any dtype is written as the integers 0 and 1.
+generation that is not an integer, a seed outside [0, 2**64) (it rebuilds
+the validation split, and the stream would reduce it modulo 2**64),
+weights that are not 2-D, layer sizes, chaining or activation names that
+`netcore.check_spec` rejects, or a mask or bias whose shape does not fit
+its weights. Next it raises `NumericFailure` for a value that the
+loaders reject with `IntegrityError`: a non-finite binary32 weight, bias
+or `alpha_history` entry, which JSON cannot spell, or a binary16 NaN
+(infinities stay writable). Then it applies the loader's mask rules: a
+mask entry other than 0 or 1, or a masked-off weight that would not read
+back as +0.0, raises `IntegrityError` with the loader's message, and a
+0/1 mask of any dtype is written as the integers 0 and 1.
 
 Every text file the package reads or writes goes through `read_text`,
 `read_json` and `write_text`: UTF-8 without newline translation, and a
@@ -251,13 +252,17 @@ def load_idx(images: str, labels: str, limit: int | None = None) -> Dataset:
     return Dataset(features=features, labels=classes)
 
 
-def check_synth_params(n_per_class: int, n_features: int, separation: float) -> None:
+def check_synth_params(n_per_class: int, n_features: int, separation: float,
+                       seed: int = 0) -> None:
     """Raise `InvalidParam` unless `synth_gaussians` can build this dataset.
 
     A class centre beyond binary32 would cast to an infinite feature. One
     within it cannot: |z| <= sqrt(106 ln 2) < 9 moves a value by far less
-    than the half ulp of the largest binary32 value.
+    than the half ulp of the largest binary32 value. The stream reduces a
+    seed modulo 2**64, so one outside [0, 2**64) would alias another.
     """
+    if not 0 <= seed < 2**64:
+        raise InvalidParam(f"seed must be a 64-bit unsigned integer, got {seed}")
     if n_per_class < 1:
         raise InvalidParam(f"n_per_class must be >= 1, got {n_per_class}")
     if n_features < 1:
@@ -302,7 +307,7 @@ def synth_gaussians(n_per_class: int, n_features: int, separation: float,
     deviate v of ``_box_muller`` over the first uniforms of the stream: it
     is made from uniforms 2 * (v // 2) and 2 * (v // 2) + 1.
     """
-    check_synth_params(n_per_class, n_features, separation)
+    check_synth_params(n_per_class, n_features, separation, seed)
     count = 2 * n_per_class * n_features
     z = _box_muller(uniform_block(seed, count + count % 2))
     return _two_classes(z[:count].reshape(2 * n_per_class, n_features),
@@ -320,7 +325,7 @@ def synth_gaussian_rows(n_per_class: int, n_features: int, separation: float,
     (n_features + 1) // 2 Box-Muller pairs from (r * n_features) // 2 on,
     read with `uniform_at`. For odd `n_features` a pair can span two rows.
     """
-    check_synth_params(n_per_class, n_features, separation)
+    check_synth_params(n_per_class, n_features, separation, seed)
     rows = np.asarray(rows)
     if rows.ndim != 1 or (rows.size and (rows.dtype.kind not in "iu" or rows.min() < 0
                                           or rows.max() >= 2 * n_per_class)):
@@ -444,6 +449,8 @@ def save_model(net: Network, path: str, seed: int = 0,
     """
     if isinstance(net.generation, bool) or not isinstance(net.generation, (int, np.integer)):
         raise IntegrityError(f"{path}: field 'generation' must be an integer")
+    if not 0 <= int(seed) < 2**64:
+        raise IntegrityError(f"{path}: field 'seed' must be a 64-bit unsigned integer")
     for i, l in enumerate(net.layers):
         if l.weights.ndim != 2:
             raise IntegrityError(f"{path} layer {i}: weights must be 2-D, got shape {l.weights.shape}")
@@ -527,6 +534,8 @@ def _read_meta(doc: dict, path: str) -> ModelMeta:
         raise IntegrityError(f"{path}: precision must be {' or '.join(_VARIANTS)}, got {precision!r}")
     generation = _require(doc, "generation", int, path)
     seed = _require(doc, "seed", int, path)
+    if not 0 <= seed < 2**64:
+        raise IntegrityError(f"{path}: field 'seed' must be a 64-bit unsigned integer")
     alpha_history = _finite_floats(doc.get("alpha_history", []))
     if alpha_history is None:
         raise IntegrityError(f"{path}: field 'alpha_history' must be a list of finite numbers")

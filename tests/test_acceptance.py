@@ -10,8 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from evosynth.dataio import load_lineage_report, load_model, load_model_meta, save_model, synth_gaussians
-from evosynth.evolution import EvolutionConfig, evolve
+from evosynth.dataio import load_lineage_report, load_model, load_model_meta, save_model
 from evosynth.genetics import (
     calibrate_alpha,
     expected_density,
@@ -28,8 +27,9 @@ from evosynth.halfprec import (
 from evosynth.netcore import DenseLayer, LayerSpec, gradients, init_network, mean_loss
 from evosynth.rng import substream, uniform_block
 
+from pinned_lineages import evolve_pinned
+
 MASTER_SEEDS = (1, 2, 3, 4, 5)
-MLP_16_64_32_2 = [LayerSpec(16, 64, "relu"), LayerSpec(64, 32, "relu"), LayerSpec(32, 2, "relu")]
 
 
 def _criterion(num: int, name: str, ok: bool, details: str) -> None:
@@ -39,24 +39,14 @@ def _criterion(num: int, name: str, ok: bool, details: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def five_runs(tmp_path_factory):
+def five_runs(pinned_run):
     """Five 13-generation runs of the 16-64-32-2 network, one per master seed."""
-    dataset = synth_gaussians(500, 16, 3.0, seed=0)
-    root = tmp_path_factory.mktemp("acceptance_runs")
-    lineages, dirs = [], []
-    start = time.monotonic()
-    for seed in MASTER_SEEDS:
-        out = root / f"seed_{seed}"
-        out.mkdir()
-        lineages.append(evolve(MLP_16_64_32_2, dataset,
-                               EvolutionConfig(master_seed=seed), out_dir=str(out)))
-        dirs.append(out)
-    elapsed = time.monotonic() - start
-    return dataset, lineages, dirs, elapsed
+    runs = [pinned_run("lineage-small", seed) for seed in MASTER_SEEDS]
+    return [r.lineage for r in runs], [r.out for r in runs], sum(r.seconds for r in runs)
 
 
 def test_criterion_1_sparsification(five_runs):
-    _, lineages, _, elapsed = five_runs
+    lineages, _, elapsed = five_runs
     ratios = [lin.records[0].active_synapses / lin.records[-1].active_synapses
               for lin in lineages]
     completed = [len(lin.records) for lin in lineages]
@@ -70,7 +60,7 @@ def test_criterion_1_sparsification(five_runs):
 
 
 def test_criterion_2_metric_retention(five_runs):
-    _, lineages, _, _ = five_runs
+    lineages, _, _ = five_runs
     dp = [abs(lin.records[-1].precision - lin.records[0].precision)
           for lin in lineages]
     dr = [abs(lin.records[-1].recall - lin.records[0].recall)
@@ -83,7 +73,7 @@ def test_criterion_2_metric_retention(five_runs):
 
 def test_criterion_3_macs_speedup_proxy(five_runs):
     # a proxy for inference speedup: arithmetic work, not measured frame rates
-    _, lineages, _, _ = five_runs
+    lineages, _, _ = five_runs
     proxies = [lin.records[0].macs / lin.records[-1].macs for lin in lineages]
     ok = min(proxies) >= 5.0
     _criterion(3, "MAC-count speedup proxy of at least 5x", ok,
@@ -254,15 +244,12 @@ def test_criterion_6_gradient_correctness():
 
 
 def test_criterion_7_determinism_and_persistence(five_runs, tmp_path):
-    dataset, lineages, dirs, _ = five_runs
-    rerun_dir = tmp_path / "rerun"
-    rerun_dir.mkdir()
-    evolve(MLP_16_64_32_2, dataset, EvolutionConfig(master_seed=MASTER_SEEDS[0]),
-           out_dir=str(rerun_dir))
+    lineages, dirs, _ = five_runs
+    rerun_dir = evolve_pinned(tmp_path, "lineage-small", MASTER_SEEDS[0])
     first_dir = dirs[0]
     names = sorted(p.name for p in first_dir.iterdir())
-    identical = all((first_dir / n).read_bytes() == (rerun_dir / n).read_bytes()
-                    for n in names)
+    identical = names == sorted(p.name for p in rerun_dir.iterdir()) and all(
+        (first_dir / n).read_bytes() == (rerun_dir / n).read_bytes() for n in names)
 
     round_trip = True
     for name in ("gen_1.json", "gen_13.json"):

@@ -1,11 +1,9 @@
 """Black-box command-line tests: exit codes, files, printed JSON."""
 
 import contextlib
-import hashlib
 import io
 import json
 import struct
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +21,8 @@ from evosynth.dataio import (
 )
 from evosynth.evolution import derive_seed, training_seed
 from evosynth.netcore import DenseLayer, Network, TrainConfig, live_counts, validation_split
+
+from pinned_lineages import DIGESTS, dir_digest
 
 DATASET_SOURCE = {"type": "synthetic", "n_per_class": 120, "n_features": 8,
                   "separation": 3.0, "seed": 5}
@@ -100,73 +100,9 @@ def test_evolve_is_reproducible(run_dir, tmp_path, capsys):
         assert (tmp_path / "out" / name).read_bytes() == (run_dir / name).read_bytes()
 
 
-# sha256 over the sorted (name, content sha256) pairs of the output files of
-# the acceptance run: 16-64-32-2, synth_gaussians(500, 16, 3.0, seed 0),
-# 13 generations, master seed 1. A change to any output byte moves it.
-ACCEPTANCE_SEED_1_DIGEST = "db2631e9e24a74a1919fe1608d5ba50d86bc5504af2d123cc937fc54e0a9db8f"
-ACCEPTANCE_CONFIG = {
-    "layers": [{"in_dim": a, "out_dim": b, "activation": "relu"}
-               for a, b in ((16, 64), (64, 32), (32, 2))],
-    "dataset": {"type": "synthetic", "n_per_class": 500, "n_features": 16,
-                "separation": 3.0, "seed": 0},
-    "evolution": {"generations": 13},
-}
-
-
-def _dir_digest(path):
-    h = hashlib.sha256()
-    for f in sorted(p for p in path.iterdir() if p.is_file()):
-        h.update(f.name.encode() + b"\0" + hashlib.sha256(f.read_bytes()).digest())
-    return h.hexdigest()
-
-
-def test_evolve_output_bytes_are_pinned(tmp_path, capsys):
-    cfg = _write_json(tmp_path / "run.json", ACCEPTANCE_CONFIG)
-    out = tmp_path / "out"
-    assert run(["evolve", "--config", cfg, "--seed", "1", "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert _dir_digest(out) == ACCEPTANCE_SEED_1_DIGEST
-
-
-# the same digest for the benchmark's lineage-wide shape, 256-128-64-2 on
-# synth_gaussians(500, 256, 3.0, seed 0), master seed 1 (bench/digests.json)
-LINEAGE_WIDE_SEED_1_DIGEST = "e1e6f457550f1230a1eec8b59ae8f3ac10cf14f6cc774b2ed5ff9956fc6d1332"
-
-
-def test_evolve_wide_output_bytes_are_pinned(tmp_path, capsys):
-    widths = (256, 128, 64, 2)
-    doc = {"layers": [{"in_dim": a, "out_dim": b, "activation": "relu"}
-                      for a, b in zip(widths, widths[1:])],
-           "dataset": {"type": "synthetic", "n_per_class": 500, "n_features": 256,
-                       "separation": 3.0, "seed": 0},
-           "evolution": {"generations": 13}}
-    cfg = _write_json(tmp_path / "run.json", doc)
-    out = tmp_path / "out"
-    assert run(["evolve", "--config", cfg, "--seed", "1", "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert _dir_digest(out) == LINEAGE_WIDE_SEED_1_DIGEST
-
-
-# the benchmark's other pinned lineages: master seeds 2-5 of both shapes on
-# synth_gaussians(500, in_dim, 3.0, seed 0), 13 generations
-BENCH_SHAPES = {"lineage-small": (16, 64, 32, 2), "lineage-wide": (256, 128, 64, 2)}
-
-
-@pytest.mark.parametrize("workload, seed", [(w, s) for w in BENCH_SHAPES for s in (2, 3, 4, 5)])
-def test_evolve_bench_lineage_bytes_are_pinned(tmp_path, capsys, workload, seed):
-    digests = json.loads((Path(__file__).resolve().parents[1] / "bench" / "digests.json")
-                         .read_text(encoding="utf-8"))
-    widths = BENCH_SHAPES[workload]
-    doc = {"layers": [{"in_dim": a, "out_dim": b, "activation": "relu"}
-                      for a, b in zip(widths, widths[1:])],
-           "dataset": {"type": "synthetic", "n_per_class": 500, "n_features": widths[0],
-                       "separation": 3.0, "seed": 0},
-           "evolution": {"generations": 13}}
-    cfg = _write_json(tmp_path / "run.json", doc)
-    out = tmp_path / "out"
-    assert run(["evolve", "--config", cfg, "--seed", str(seed), "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert _dir_digest(out) == digests[workload][str(seed)]
+@pytest.mark.parametrize("workload, seed", [(w, int(s)) for w in DIGESTS for s in DIGESTS[w]])
+def test_evolve_bytes_are_pinned(pinned_run, workload, seed):
+    assert dir_digest(pinned_run(workload, seed).out) == DIGESTS[workload][str(seed)]
 
 
 def test_evolve_seed_flag_overrides(run_dir, tmp_path, capsys):
@@ -258,6 +194,9 @@ HOSTILE_CONFIGS = [
     ("NaN", _set("evolution", "stop_on_metric_drop", float("nan"))),
     ("Infinity", _set("evolution", "train", "learning_rate", float("inf"))),
     ("-Infinity", _set("dataset", "separation", float("-inf"))),
+    # the stream would reduce these modulo 2**64, to another seed's dataset
+    (str(2**64), _set("dataset", "seed", 2**64)),
+    ("-1", _set("dataset", "seed", -1)),
 ]
 
 
@@ -828,6 +767,8 @@ def test_inspect_rejects_bad_alpha_history(tmp_path, capsys, history):
 MALFORMED_FIELDS = [
     pytest.param(_set("layers", 0, 5), "layer 0: must be a JSON object", id="layer-not-object"),
     pytest.param(lambda doc: doc.pop("seed"), "missing field 'seed'", id="no-seed"),
+    pytest.param(_set("seed", 2**64), "field 'seed' must be a 64-bit unsigned integer",
+                 id="seed-beyond-uint64"),
     pytest.param(_set("layers", 0, "in_dim", "2"), "field 'in_dim' must be an integer",
                  id="string-in_dim"),
     pytest.param(_set("layers", {}), "field 'layers' must be a list", id="layers-object"),

@@ -275,10 +275,13 @@ def test_gaussians_separation_is_usable():
     dict(n_per_class=10, n_features=0, separation=1.0),
     dict(n_per_class=10, n_features=2, separation=0.0),
     dict(n_per_class=10, n_features=2, separation=-2.0),
+    # the stream reduces a seed modulo 2**64: both would build seed 0's dataset
+    dict(n_per_class=5, n_features=3, separation=3.0, seed=2**64),
+    dict(n_per_class=5, n_features=3, separation=3.0, seed=-2**64),
 ])
 def test_gaussians_rejects_bad_params(kwargs):
     with pytest.raises(InvalidParam):
-        synth_gaussians(seed=0, **kwargs)
+        synth_gaussians(**{"seed": 0, **kwargs})
 
 
 # sha256 of synth_gaussians(...).features.tobytes(): the acceptance and
@@ -669,6 +672,13 @@ def test_save_model_rejects_non_finite_alpha_history(tmp_path, value, half):
     p = tmp_path / "m.json"
     with pytest.raises(NumericFailure, match="alpha_history"):
         save_model(net, str(p), alpha_history=[1.0, value])
+    assert not p.exists()
+
+
+def test_save_model_rejects_seed_beyond_uint64(tmp_path):
+    p = tmp_path / "m.json"
+    with pytest.raises(IntegrityError, match="field 'seed' must be a 64-bit unsigned integer"):
+        save_model(_small_net(), str(p), seed=2**64)
     assert not p.exists()
 
 

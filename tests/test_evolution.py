@@ -210,20 +210,18 @@ def test_evolve_is_byte_deterministic(dataset, tmp_path):
 
 
 @pytest.mark.parametrize("master_seed", [1, 2])
-def test_lineage_csv_round_trips_through_generation_records(tmp_path, master_seed):
+def test_lineage_csv_round_trips_through_generation_records(pinned_run, tmp_path, master_seed):
     # the 16-64-32-2 acceptance run: 13 generations of typed rows
-    spec = [LayerSpec(16, 64, "relu"), LayerSpec(64, 32, "relu"), LayerSpec(32, 2, "relu")]
-    lin = evolve(spec, synth_gaussians(500, 16, 3.0, seed=0),
-                 EvolutionConfig(master_seed=master_seed), out_dir=str(tmp_path))
-    records = load_lineage_report(str(tmp_path / "lineage.csv"))
-    assert len(records) == len(lin.records) == 13
+    run = pinned_run("lineage-small", master_seed)
+    records = load_lineage_report(str(run.out / "lineage.csv"))
+    assert len(records) == len(run.lineage.records) == 13
     assert all(type(r) is GenerationRecord for r in records)
-    for got, want in zip(records, lin.records):
+    for got, want in zip(records, run.lineage.records):
         assert (got.generation, got.active_synapses, got.total_synapses, got.macs, got.seed) == (
             want.generation, want.active_synapses, want.total_synapses, want.macs, want.seed)
         assert got.f1 == pytest.approx(want.f1, rel=1e-5)
     save_lineage_report(records, str(tmp_path / "resaved.csv"))
-    assert (tmp_path / "resaved.csv").read_bytes() == (tmp_path / "lineage.csv").read_bytes()
+    assert (tmp_path / "resaved.csv").read_bytes() == (run.out / "lineage.csv").read_bytes()
 
 
 def test_evolve_single_generation(dataset):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from evosynth import evolution, netcore
+from evosynth import netcore
 from evosynth.dataio import Dataset, synth_gaussians
 from evosynth.errors import (
     DatasetTooSmall,
@@ -16,7 +16,6 @@ from evosynth.errors import (
     NumericFailure,
     ShapeMismatch,
 )
-from evosynth.halfprec import quantize_network
 from evosynth.netcore import (
     DenseLayer,
     LayerSpec,
@@ -530,34 +529,18 @@ def test_train_matches_dense_loop_with_dead_input_columns(activation, live_input
     assert got.layers[0].weights[0, 0] == 0.0 and not np.signbit(got.layers[0].weights[0, 0])
 
 
-def _train_calls(widths):
-    """The dataset, and the networks (and train configs) every generation of
-    master seed 1 starts training from, on ``synth_gaussians(500, widths[0], 3.0)``."""
-    ds = synth_gaussians(500, widths[0], 3.0, seed=0)
-    calls = {}
-
-    def capture(net, dataset, cfg):
-        calls[net.generation] = (net.copy(), cfg)
-        return train(net, dataset, cfg)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evolution, "train", capture)
-        evolution.evolve([LayerSpec(a, b) for a, b in zip(widths, widths[1:])], ds,
-                         evolution.EvolutionConfig(master_seed=1))
-    return ds, calls
+@pytest.fixture(scope="module")
+def lineage_children(pinned_run):
+    """The dataset and, by generation, what train started from: acceptance lineage, seed 1."""
+    run = pinned_run("lineage-small", 1)
+    return run.dataset, run.train_calls
 
 
 @pytest.fixture(scope="module")
-def lineage_children():
-    """The networks (and train configs) generations 4, 7 and 13 of the
-    acceptance lineage, master seed 1, start training from."""
-    return _train_calls((16, 64, 32, 2))
-
-
-@pytest.fixture(scope="module")
-def wide_lineage_children():
+def wide_lineage_children(pinned_run):
     """The same for the 256-128-64-2 shape of the lineage-wide benchmark."""
-    return _train_calls((256, 128, 64, 2))
+    run = pinned_run("lineage-wide", 1)
+    return run.dataset, run.train_calls
 
 
 # sha256 over the binary32 weights and biases, best_epoch and epoch count
@@ -679,24 +662,14 @@ def _assert_plan_matches_dense(net, x, label, single_rows=40):
 
 
 @pytest.fixture(scope="module")
-def stored_lineages():
+def stored_lineages(pinned_run):
     """Generations 1, 4, 7 and 13 of master seed 1 as evolve stores them,
     on the acceptance shape and on the wide one, with held-out rows."""
     cases = {}
-    for shape, widths in (("small", [16, 64, 32, 2]), ("wide", [256, 128, 64, 2])):
-        stored = {}
-
-        def capture(net):
-            stored[net.generation] = quantize_network(net)
-            return stored[net.generation]
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(evolution, "quantize_network", capture)
-            evolution.evolve([LayerSpec(a, b) for a, b in zip(widths, widths[1:])],
-                             synth_gaussians(500, widths[0], 3.0, seed=0),
-                             evolution.EvolutionConfig(master_seed=1))
-        heldout = synth_gaussians(500, widths[0], 3.0, seed=2**32).features
-        cases[shape] = ({g: stored[g].copy() for g in (1, 4, 7, 13)}, heldout)
+    for shape in ("small", "wide"):
+        run = pinned_run(f"lineage-{shape}", 1)
+        heldout = synth_gaussians(500, run.dataset.features.shape[1], 3.0, seed=2**32).features
+        cases[shape] = ({g: run.stored[g] for g in (1, 4, 7, 13)}, heldout)
     return cases
 
 

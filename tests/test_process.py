@@ -18,14 +18,8 @@ import pytest
 
 import evosynth
 from evosynth.cli import run
-from test_cli import (
-    ACCEPTANCE_CONFIG,
-    ACCEPTANCE_SEED_1_DIGEST,
-    DATASET_SOURCE,
-    _config_doc,
-    _dir_digest,
-    _write_json,
-)
+from pinned_lineages import DIGESTS, dir_digest, run_config
+from test_cli import DATASET_SOURCE, _config_doc, _write_json
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -64,13 +58,13 @@ def _evosynth(cwd, *argv, **env):
     {"OPENBLAS_CORETYPE": "Prescott", "PYTHONHASHSEED": "12345", "OPENBLAS_NUM_THREADS": "1"},
 ], ids=["haswell", "prescott-one-thread"])
 def test_evolve_bytes_are_pinned_in_a_new_process(tmp_path, env):
-    _write_json(tmp_path / "run.json", ACCEPTANCE_CONFIG)
+    _write_json(tmp_path / "run.json", run_config("lineage-small"))
     code, out, err = _evosynth(tmp_path, "evolve", "--config", "run.json",
                                "--seed", "1", "--out", "out", **env)
     # filterwarnings = error does not reach a child: a numpy warning shows here
     assert (code, err) == (0, "")
     assert out == "13 generation(s) written to out (completed)\n"
-    assert _dir_digest(tmp_path / "out") == ACCEPTANCE_SEED_1_DIGEST
+    assert dir_digest(tmp_path / "out") == DIGESTS["lineage-small"]["1"]
 
 
 # help and usage errors from a new interpreter, which exits with run's code
@@ -104,14 +98,16 @@ def small_run(tmp_path_factory):
 
 
 @pytest.mark.parametrize("argv, buffered", [
-    # unbuffered, the command's own print fails
+    # unbuffered, the command's own print (or the help's write) fails
     (["inspect", "--model", "{run}/out/gen_2.json"], False),
     (["metrics", "--model", "{run}/out/gen_2.json", "--data", "{run}/source.json"], False),
     (["report", "--lineage", "{run}/out/lineage.csv", "--svg-out", "charts"], False),
     (["evolve", "--config", "{run}/run.json", "--out", "out"], False),
-    # block-buffered, as on a pipe by default, run's flush fails
+    (["--help"], False),
+    # block-buffered, as on a pipe by default, the flush after the output fails
     (["inspect", "--model", "{run}/out/gen_2.json"], True),
-], ids=["inspect", "metrics", "report", "evolve", "inspect-buffered"])
+    (["--help"], True),
+], ids=["inspect", "metrics", "report", "evolve", "help", "inspect-buffered", "help-buffered"])
 def test_closed_stdout_is_one_error_line(small_run, tmp_path, argv, buffered):
     env = {} if buffered else {"PYTHONUNBUFFERED": "1"}
     proc = _start(tmp_path, ["-m", "evosynth.cli", *(a.format(run=small_run) for a in argv)], **env)

@@ -14,9 +14,11 @@ binary16 codes are spelled by `_int_items`, with numpy digit arithmetic
 on the whole array; binary32 decimals and `alpha_history` go through
 the repr of a Python float list. Before the file is opened, `save_model`
 raises `IntegrityError` for a structure that the loaders reject: a
-generation that is not an integer, a seed outside [0, 2**64) (it rebuilds
-the validation split, and the stream would reduce it modulo 2**64),
-weights that are not 2-D, layer sizes, chaining or activation names that
+generation that is not an integer, a seed that is not an integer in
+[0, 2**64) (it rebuilds the validation split, and the stream would reduce
+it modulo 2**64; as for the generation, a `bool` is rejected and a numpy
+integer is taken, so the stored seed is the one passed), weights that
+are not 2-D, layer sizes, chaining or activation names that
 `netcore.check_spec` rejects, or a mask or bias whose shape does not fit
 its weights. Next it raises `NumericFailure` for a value that the
 loaders reject with `IntegrityError`: a non-finite binary32 weight, bias
@@ -449,7 +451,7 @@ def save_model(net: Network, path: str, seed: int = 0,
     """
     if isinstance(net.generation, bool) or not isinstance(net.generation, (int, np.integer)):
         raise IntegrityError(f"{path}: field 'generation' must be an integer")
-    if not 0 <= int(seed) < 2**64:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
         raise IntegrityError(f"{path}: field 'seed' must be a 64-bit unsigned integer")
     for i, l in enumerate(net.layers):
         if l.weights.ndim != 2:

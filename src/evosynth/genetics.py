@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DeadLayer
-from .netcore import Network
+from .netcore import Network, check_seed
 from .rng import uniform_layers
 
 
@@ -79,6 +79,7 @@ def synthesize_offspring(dna: list[np.ndarray], alpha: float, seed: int) -> list
     resolve to the lowest column index). Rows with no positive q at all
     are left dead so the parent's zero structure is never violated.
     """
+    check_seed(seed)
     qs = synthesis_probability(dna, alpha)
     masks = []
     for q, u in zip(qs, uniform_layers(seed, [q.shape for q in qs])):

@@ -169,8 +169,7 @@ class TrainConfig:
             raise ValueError("patience must be positive")
         if not 0 < self.validation_fraction < 1:
             raise ValueError("validation_fraction must be in (0, 1)")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -191,6 +190,13 @@ class Gradients:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     loss: float
+
+
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless ``seed`` is in [0, 2**64): the stream would
+    reduce any other seed modulo 2**64, to another seed's draws."""
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must be a 64-bit unsigned integer")
 
 
 def check_spec(spec: Sequence[LayerSpec]) -> None:
@@ -216,6 +222,7 @@ def init_network(spec: Sequence[LayerSpec], seed: int) -> Network:
     deterministic stream, consumed layer by layer in row-major order.
     """
     check_spec(spec)
+    check_seed(seed)
     layers = []
     for s, u in zip(spec, uniform_layers(seed, [(s.out_dim, s.in_dim) for s in spec])):
         limit = np.sqrt(6.0 / (s.in_dim + s.out_dim))
@@ -521,6 +528,7 @@ def validation_split(n_samples: int, fraction: float, seed: int):
     One permutation is drawn from substream 0 of ``seed``; the first
     ``max(1, floor(fraction * n))`` entries are the validation set.
     """
+    check_seed(seed)
     perm = permutation(n_samples, substream(seed, 0))
     n_val = max(1, int(fraction * n_samples))
     return perm[n_val:], perm[:n_val]

@@ -24,9 +24,10 @@ from evosynth.halfprec import (
     encode_array,
     encode_f16,
 )
-from evosynth.netcore import DenseLayer, LayerSpec, gradients, init_network, mean_loss
+from evosynth.netcore import DenseLayer, LayerSpec, gradients, init_network
 from evosynth.rng import substream, uniform_block
 
+from helpers import fd_grad
 from pinned_lineages import evolve_pinned
 
 MASTER_SEEDS = (1, 2, 3, 4, 5)
@@ -167,29 +168,6 @@ def test_criterion_5_sampling_statistics():
                f"worst density inversion error {worst:.2e} <= 1e-3")
 
 
-def _fd_grad(net, x, y, li, key, idx, eps):
-    # inference freezes a network's arrays, so each probe is a new array
-    layer = net.layers[li]
-    orig = getattr(layer, key)
-    probes = []
-    for step in (eps, -eps):
-        probe = orig.copy()
-        probe[idx] = np.float32(float(orig[idx]) + step)
-        setattr(layer, key, probe)
-        probes.append((float(probe[idx]), mean_loss(net, x, y)))
-    setattr(layer, key, orig)
-    (up, lp), (dn, lm) = probes
-    return (lp - lm) / (up - dn)
-
-
-def _fd_weight_grad(net, x, y, li, idx, eps=1e-3):
-    return _fd_grad(net, x, y, li, "weights", idx, eps)
-
-
-def _fd_bias_grad(net, x, y, li, idx, eps=1e-3):
-    return _fd_grad(net, x, y, li, "bias", idx, eps)
-
-
 def _masked_random_net(spec, i):
     net = init_network(spec, seed=100 + i)
     for li, layer in enumerate(net.layers):
@@ -231,10 +209,10 @@ def test_criterion_6_gradient_correctness():
                 if layer.mask[idx] == 0:
                     masked_exact = masked_exact and analytic == 0.0
                     continue
-                fd = _fd_weight_grad(net, x, y, li, idx)
+                fd = fd_grad(net, x, y, li, "weights", idx)
                 worst = max(worst, abs(fd - analytic) / max(abs(fd), abs(analytic), 1e-8))
             for bi in range(layer.bias.shape[0]):
-                fd = _fd_bias_grad(net, x, y, li, bi)
+                fd = fd_grad(net, x, y, li, "bias", bi)
                 analytic = float(g.biases[li][bi])
                 worst = max(worst, abs(fd - analytic) / max(abs(fd), abs(analytic), 1e-8))
     ok = worst < 1e-4 and masked_exact

@@ -22,6 +22,7 @@ from evosynth.dataio import (
 from evosynth.evolution import derive_seed, training_seed
 from evosynth.netcore import DenseLayer, Network, TrainConfig, live_counts, validation_split
 
+from helpers import put
 from pinned_lineages import DIGESTS, dir_digest
 
 DATASET_SOURCE = {"type": "synthetic", "n_per_class": 120, "n_features": 8,
@@ -166,37 +167,26 @@ def test_evolve_missing_csv_dataset(tmp_path, capsys):
     assert "absent.csv" in capsys.readouterr().err
 
 
-def _set(*path_and_value):
-    """Config or model mutation that sets doc[path...] = value."""
-    *path, key, value = path_and_value
-
-    def mutate(doc):
-        for step in path:
-            doc = doc[step]
-        doc[key] = value
-    return mutate
-
-
 HOSTILE_CONFIGS = [
-    ("batch_size", _set("evolution", "train", "batch_size", True)),
-    ("separation", _set("dataset", "separation", "3")),
+    ("batch_size", put("evolution", "train", "batch_size", True)),
+    ("separation", put("dataset", "separation", "3")),
     # evolve always inherits weights and saturates: both former settings are unknown keys
-    ("precision", _set("evolution", "precision", {"overflow": "saturate"})),
-    ("inherit_weights", _set("evolution", "inherit_weights", True)),
-    ("train", _set("evolution", "train", [])),
-    ("layers", _set("layers", [])),
-    ("top_extra", _set("top_extra", 1)),
-    ("evolution_extra", _set("evolution", "evolution_extra", 1)),
-    ("train_extra", _set("evolution", "train", "train_extra", 1)),
-    ("layer_extra", _set("layers", 0, "layer_extra", 1)),
-    ("dataset_extra", _set("dataset", "dataset_extra", 1)),
+    ("precision", put("evolution", "precision", {"overflow": "saturate"})),
+    ("inherit_weights", put("evolution", "inherit_weights", True)),
+    ("train", put("evolution", "train", [])),
+    ("layers", put("layers", [])),
+    ("top_extra", put("top_extra", 1)),
+    ("evolution_extra", put("evolution", "evolution_extra", 1)),
+    ("train_extra", put("evolution", "train", "train_extra", 1)),
+    ("layer_extra", put("layers", 0, "layer_extra", 1)),
+    ("dataset_extra", put("dataset", "dataset_extra", 1)),
     # json.dumps writes these as the bare tokens NaN, Infinity and -Infinity
-    ("NaN", _set("evolution", "stop_on_metric_drop", float("nan"))),
-    ("Infinity", _set("evolution", "train", "learning_rate", float("inf"))),
-    ("-Infinity", _set("dataset", "separation", float("-inf"))),
+    ("NaN", put("evolution", "stop_on_metric_drop", float("nan"))),
+    ("Infinity", put("evolution", "train", "learning_rate", float("inf"))),
+    ("-Infinity", put("dataset", "separation", float("-inf"))),
     # the stream would reduce these modulo 2**64, to another seed's dataset
-    (str(2**64), _set("dataset", "seed", 2**64)),
-    ("-1", _set("dataset", "seed", -1)),
+    (str(2**64), put("dataset", "seed", 2**64)),
+    ("-1", put("dataset", "seed", -1)),
 ]
 
 
@@ -404,14 +394,14 @@ def test_run_returns_0_for_help(argv, usage, capsys):
 # quantize
 
 
-def _full_model(tmp_path, values, name="full.json", seed=11, alpha_history=(1.0,)):
+def _full_model(tmp_path, values):
     w = np.asarray(values, dtype=np.float32)
     net = Network(layers=[DenseLayer(weights=w, mask=np.ones(w.shape, dtype=np.uint8),
                                      bias=np.zeros(w.shape[0], dtype=np.float32),
                                      activation="relu")],
                   generation=1, precision_tag="full")
-    path = tmp_path / name
-    save_model(net, str(path), seed=seed, alpha_history=list(alpha_history))
+    path = tmp_path / "full.json"
+    save_model(net, str(path), seed=11, alpha_history=[1.0])
     return str(path)
 
 
@@ -745,75 +735,6 @@ def test_inspect_reports_live_counts(run_dir, capsys):
     assert info["live_macs"] - info["live_synapses"] <= info["macs"] - info["active_synapses"]
 
 
-def test_inspect_corrupt_model(tmp_path, capsys):
-    path = tmp_path / "m.json"
-    path.write_text("{\"format_version\": 9}")
-    assert run(["inspect", "--model", str(path)]) == 2
-    capsys.readouterr()
-
-
-@pytest.mark.parametrize("history", [5, None, ["x"], [True]], ids=["int", "null", "str", "bool"])
-def test_inspect_rejects_bad_alpha_history(tmp_path, capsys, history):
-    path = tmp_path / "full.json"
-    _full_model(tmp_path, [[0.5, 1.0]])
-    doc = json.loads(path.read_text())
-    doc["alpha_history"] = history
-    assert run(["inspect", "--model", _write_json(path, doc)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "alpha_history" in err
-
-
-MALFORMED_FIELDS = [
-    pytest.param(_set("layers", 0, 5), "layer 0: must be a JSON object", id="layer-not-object"),
-    pytest.param(lambda doc: doc.pop("seed"), "missing field 'seed'", id="no-seed"),
-    pytest.param(_set("seed", 2**64), "field 'seed' must be a 64-bit unsigned integer",
-                 id="seed-beyond-uint64"),
-    pytest.param(_set("layers", 0, "in_dim", "2"), "field 'in_dim' must be an integer",
-                 id="string-in_dim"),
-    pytest.param(_set("layers", {}), "field 'layers' must be a list", id="layers-object"),
-]
-
-
-@pytest.mark.parametrize("mutate, message", MALFORMED_FIELDS)
-def test_inspect_rejects_malformed_fields(tmp_path, capsys, mutate, message):
-    path = tmp_path / "full.json"
-    _full_model(tmp_path, [[0.5, 1.0]])
-    doc = json.loads(path.read_text())
-    mutate(doc)
-    assert run(["inspect", "--model", _write_json(path, doc)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert message in captured.err
-
-
-# json.dumps writes these as the bare tokens NaN, Infinity and -Infinity
-HOSTILE_MODELS = [
-    ("metrics", "NaN", _set("layers", 0, "weights_f32", 0, float("nan"))),
-    ("inspect", "Infinity", _set("alpha_history", [1.0, float("inf")])),
-    ("quantize", "Infinity", _set("layers", 0, "weights_f32", 0, float("inf"))),
-    ("quantize", "-Infinity", _set("layers", 0, "bias_f32", 0, float("-inf"))),
-]
-
-
-@pytest.mark.parametrize("command, token, mutate", HOSTILE_MODELS,
-                         ids=[f"{c}-{t}" for c, t, _ in HOSTILE_MODELS])
-def test_read_commands_reject_non_finite_tokens(tmp_path, capsys, command, token, mutate):
-    path = tmp_path / "full.json"
-    _full_model(tmp_path, np.full((2, 8), 0.5))
-    doc = json.loads(path.read_text())
-    mutate(doc)
-    argv = {"inspect": [],
-            "metrics": ["--data", _write_json(tmp_path / "source.json", DATASET_SOURCE)],
-            "quantize": ["--out", str(tmp_path / "half.json")]}[command]
-    assert run([command, "--model", _write_json(path, doc), *argv]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert f"{token} is not a valid value" in captured.err
-
-
 def _set_half_code(path, key, code):
     """Set the first unmasked weight code, or the first bias code, of layer 0."""
     doc = json.loads(path.read_text())
@@ -821,23 +742,6 @@ def _set_half_code(path, key, code):
     index = layer["mask"].index(1) if key == "weights_f16" else 0
     layer[key][index] = code
     path.write_text(json.dumps(doc))
-
-
-@pytest.mark.parametrize("key, code", [("weights_f16", 0x7E00), ("weights_f16", 0xFE00),
-                                       ("bias_f16", 0x7C01)],
-                         ids=["weight-0x7E00", "weight-0xFE00", "bias-0x7C01"])
-@pytest.mark.parametrize("command", ["inspect", "metrics"])
-def test_read_commands_reject_half_nan_codes(run_dir, tmp_path, capsys, command, key, code):
-    path = tmp_path / "half.json"
-    path.write_bytes((run_dir / "gen_2.json").read_bytes())
-    _set_half_code(path, key, code)
-    argv = {"inspect": [],
-            "metrics": ["--data", _write_json(tmp_path / "source.json", DATASET_SOURCE)]}[command]
-    assert run([command, "--model", str(path), *argv]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert f"{key} holds a binary16 NaN code" in captured.err
 
 
 @pytest.mark.parametrize("command, key, code", [("inspect", "weights_f16", 0x7C00),
@@ -865,44 +769,6 @@ def test_metrics_rejects_positive_infinity_output_bias(run_dir, tmp_path, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: non-finite class probability\n"
-
-
-def _spell_first_weight(text, spelling):
-    """Replace the first binary32 weight's JSON text by ``spelling``."""
-    head, sep, rest = text.partition('"weights_f32": [')
-    first, comma, tail = rest.partition(",")
-    return head + sep + first.replace(first.strip(), spelling) + comma + tail
-
-
-@pytest.mark.parametrize("spelling", ["1e999", "4e38"])
-@pytest.mark.parametrize("command", ["inspect", "metrics", "quantize"])
-def test_read_commands_reject_weights_beyond_binary32(tmp_path, capsys, command, spelling):
-    path = tmp_path / "full.json"
-    _full_model(tmp_path, np.full((2, 8), 0.5))
-    path.write_text(_spell_first_weight(path.read_text(), spelling))
-    argv = {"inspect": [],
-            "metrics": ["--data", _write_json(tmp_path / "source.json", DATASET_SOURCE)],
-            "quantize": ["--out", str(tmp_path / "half.json")]}[command]
-    assert run([command, "--model", str(path), *argv]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "finite binary32" in captured.err
-
-
-@pytest.mark.parametrize("command", ["inspect", "quantize"])
-def test_read_commands_reject_alpha_history_beyond_float(tmp_path, capsys, command):
-    # 1e999 parses as inf; quantize would otherwise hit the writer's non-finite rule (exit 3)
-    path = tmp_path / "full.json"
-    _full_model(tmp_path, np.full((2, 8), 0.5), alpha_history=(1.0, 0.25))
-    path.write_text(path.read_text().replace("0.25", "1e999"))
-    argv = {"inspect": [], "quantize": ["--out", str(tmp_path / "half.json")]}[command]
-    assert run([command, "--model", str(path), *argv]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "alpha_history" in captured.err
-    assert not (tmp_path / "half.json").exists()
 
 
 # each read command parses its model file once

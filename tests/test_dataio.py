@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 
 from evosynth import dataio
+from evosynth.cli import run
 from evosynth.dataio import (
     LINEAGE_HEADER,
     load_csv_dataset,
     load_idx,
     load_lineage_report,
     load_model,
+    load_model_and_meta,
     load_model_meta,
     save_lineage_report,
     save_model,
@@ -45,6 +47,8 @@ from evosynth.netcore import (
     init_network,
     validation_split,
 )
+
+from helpers import put
 
 
 # CSV datasets
@@ -373,7 +377,7 @@ def test_save_load_binary32_bit_exact(tmp_path):
     net.layers[0].weights[2, 0] = np.float32(1.0) / np.float32(3.0)
     net.layers[0].bias[0] = np.float32(1e-40)  # float32 subnormal
     p = str(tmp_path / "m.json")
-    save_model(net, p, seed=77, alpha_history=[1.0, 0.5])
+    save_model(net, p, seed=np.uint64(77), alpha_history=[1.0, 0.5])  # a numpy seed is an integer
     back = load_model(p)
     assert back.precision_tag == "full"
     assert back.generation == net.generation
@@ -675,10 +679,13 @@ def test_save_model_rejects_non_finite_alpha_history(tmp_path, value, half):
     assert not p.exists()
 
 
-def test_save_model_rejects_seed_beyond_uint64(tmp_path):
+# the file holds the seed passed, so a value that int() would turn into
+# another seed (2.7, True, "7") is refused
+@pytest.mark.parametrize("seed", [2**64, 2.7, True, "7"], ids=["2^64", "2.7", "true", "str"])
+def test_save_model_rejects_seed_beyond_uint64(tmp_path, seed):
     p = tmp_path / "m.json"
     with pytest.raises(IntegrityError, match="field 'seed' must be a 64-bit unsigned integer"):
-        save_model(_small_net(), str(p), seed=2**64)
+        save_model(_small_net(), str(p), seed=seed)
     assert not p.exists()
 
 
@@ -706,149 +713,151 @@ def test_model_unknown_top_level_fields_ignored(tmp_path):
     load_model(p)
 
 
-def _doc(tmp_path, mutate):
-    net = _small_net()
-    p = tmp_path / "m.json"
-    save_model(net, str(p))
-    doc = json.loads(p.read_text())
-    mutate(doc)
-    p.write_text(json.dumps(doc))
-    return str(p)
+# the model-file contract: each row is a saved `_small_net` file that the
+# loader refuses, as (base variant, change, error, message, meta). A change
+# edits the parsed document, respells the first number of a list in the
+# file's text (a (key, spelling) pair), or is the file's whole new text.
+# `message` is the loader's, after the file's path; `meta` marks the rows
+# whose field `load_model_meta` reads too. Layer 0 is 3 -> 4, layer 1 is
+# 4 -> 2, and weight 1 of layer 0 and weight 7 of layer 1 are masked off.
+B32, B16 = "binary32", "binary16"
+TEN_400 = "1" + "0" * 400
+ALPHAS = ": field 'alpha_history' must be a list of finite numbers"
+MASKED = " layer 0: masked-off weight is not +0.0"
+MODEL_REFUSALS = {
+    # the document
+    "not-json": (B32, "{not json", IntegrityError, " is not valid JSON: Expecting property name "
+                 "enclosed in double quotes: line 1 column 2 (char 1)", True),
+    "top-level-list": (B32, "[1, 2]", IntegrityError, ": top level must be a JSON object", True),
+    "format-9-only": (B32, '{"format_version": 9}', FormatVersionUnsupported,
+                      ": format_version 9, supported: 1", True),
+    "format-2": (B32, put("format_version", 2), FormatVersionUnsupported,
+                 ": format_version 2, supported: 1", True),
+    "no-format": (B32, lambda d: d.pop("format_version"), FormatVersionUnsupported,
+                  ": format_version None, supported: 1", True),
+    # json.dumps writes these as the bare tokens NaN, Infinity and -Infinity
+    "NaN-weight": (B32, put("layers", 0, "weights_f32", 0, float("nan")), IntegrityError,
+                   ": NaN is not a valid value", True),
+    "Infinity-weight": (B32, put("layers", 0, "weights_f32", 0, float("inf")), IntegrityError,
+                        ": Infinity is not a valid value", True),
+    "Infinity-alpha": (B32, put("alpha_history", [1.0, float("inf")]), IntegrityError,
+                       ": Infinity is not a valid value", True),
+    "-Infinity-bias": (B32, put("layers", 1, "bias_f32", 0, float("-inf")), IntegrityError,
+                       ": -Infinity is not a valid value", True),
+    # the top-level fields
+    **{f"precision-{i}": (B32, put("precision", p), IntegrityError,
+                          f": precision must be binary16 or binary32, got {p!r}", True)
+       # a list cannot be a key of the loader's variant table
+       for i, p in (("binary64", "binary64"), ("null", None), ("list", ["binary16"]))},
+    "no-seed": (B32, lambda d: d.pop("seed"), IntegrityError, ": missing field 'seed'", True),
+    "seed-2^64": (B32, put("seed", 2**64), IntegrityError,
+                  ": field 'seed' must be a 64-bit unsigned integer", True),
+    **{f"alpha-{i}": (B32, put("alpha_history", v), IntegrityError, ALPHAS, True)
+       for i, v in (("int", 5), ("null", None), ("str", ["x"]), ("bool", [True]))},
+    **{f"alpha-{i}": (B32, ("alpha_history", s), IntegrityError, ALPHAS, True)
+       for i, s in (("10^400", TEN_400), ("1e999", "1e999"), ("-1e999", "-1e999"))},
+    "layers-object": (B32, put("layers", {}), IntegrityError, ": field 'layers' must be a list", False),
+    "no-layers": (B32, put("layers", []), IntegrityError, ": model has no layers", False),
+    "one-activation": (B32, put("activation", ["relu"]), IntegrityError,
+                       ": 1 activation names for 2 layers", False),
+    "tanh": (B32, put("activation", ["relu", "tanh"]), IntegrityError,
+             ": unknown activation 'tanh'", False),
+    # a layer's structure
+    "layer-not-object": (B32, put("layers", 0, 5), IntegrityError,
+                         " layer 0: must be a JSON object", False),
+    "string-in_dim": (B32, put("layers", 0, "in_dim", "2"), IntegrityError,
+                      " layer 0: field 'in_dim' must be an integer", False),
+    "out_dim-0": (B32, put("layers", 0, "out_dim", 0), IntegrityError,
+                  " layer 0: dimensions must be >= 1", False),
+    "broken-chain": (B32, put("layers", 1, "in_dim", 5), IntegrityError,
+                     " layer 1: in_dim 5 does not match previous out_dim 4", False),
+    "long-mask": (B32, lambda d: d["layers"][0]["mask"].append(1), IntegrityError,
+                  " layer 0: mask has 13 values, expected 12", False),
+    "short-weights": (B32, lambda d: d["layers"][1]["weights_f32"].pop(), IntegrityError,
+                      " layer 1: weights_f32 has 7 values, expected 8", False),
+    # a layer's values
+    "mask-2": (B32, put("layers", 0, "mask", 0, 2), IntegrityError,
+               " layer 0: mask entries must be 0 or 1", False),
+    **{f"mask-{i}": (B32, put("layers", 1, "mask", 0, v), IntegrityError,
+                     " layer 1: mask entries must be 0 or 1", False)
+       for i, v in (("1.0", 1.0), ("0.0", 0.0), ("true", True), ("-1", -1), ("2^70", 2**70))},
+    "true-weight": (B32, put("layers", 0, "weights_f32", 0, True), IntegrityError,
+                    " layer 0: weights_f32 entries must be numbers", False),
+    **{f"weight-{i}": (B32, ("weights_f32", s), IntegrityError,
+                       " layer 0: weights_f32 entries must be finite binary32 values", False)
+       for i, s in (("10^400", TEN_400), ("1e999", "1e999"), ("4e38", "4e38"))},
+    "weight-code-65536": (B16, put("layers", 0, "weights_f16", 0, 65536), IntegrityError,
+                          " layer 0: weights_f16 entries must be integers in [0, 65535]", False),
+    **{f"bias-code-{i}": (B16, put("layers", 1, "bias_f16", 0, v), IntegrityError,
+                          " layer 1: bias_f16 entries must be integers in [0, 65535]", False)
+       for i, v in (("-1", -1), ("2^70", 2**70), ("1.0", 1.0), ("true", True))},
+    **{f"{key[:-4]}-NaN-code-0x{code:04X}": (B16, put("layers", 0, key, 0, code), IntegrityError,
+                                             f" layer 0: {key} holds a binary16 NaN code", False)
+       for key, code in (("weights_f16", 0x7E00), ("weights_f16", 0xFE00), ("bias_f16", 0x7C01))},
+    # the masked slots hold +0.0 only
+    "masked-0.25": (B32, put("layers", 0, "weights_f32", 1, 0.25), IntegrityError, MASKED, False),
+    "masked-minus-zero": (B32, put("layers", 0, "weights_f32", 1, -0.0), IntegrityError, MASKED, False),
+    "masked-code-0x8000": (B16, put("layers", 0, "weights_f16", 1, 0x8000), IntegrityError, MASKED, False),
+}
 
 
-def test_model_format_version_checked(tmp_path):
-    p = _doc(tmp_path, lambda d: d.update(format_version=2))
-    with pytest.raises(FormatVersionUnsupported):
-        load_model(p)
-    p = _doc(tmp_path, lambda d: d.pop("format_version"))
-    with pytest.raises(FormatVersionUnsupported):
-        load_model(p)
+@pytest.fixture(scope="module")
+def model_bases(tmp_path_factory):
+    """A directory holding `_small_net` saved in each variant, and a data
+    source that such a model reads."""
+    root = tmp_path_factory.mktemp("model_bases")
+    for precision, net in ((B32, _small_net()), (B16, quantize_network(_small_net()))):
+        save_model(net, str(root / f"{precision}.json"), seed=9, alpha_history=[0.5, 0.25])
+    (root / "source.json").write_text(json.dumps(
+        {"type": "synthetic", "n_per_class": 20, "n_features": 3, "separation": 3.0, "seed": 1}))
+    return root
 
 
-def test_model_bad_precision(tmp_path):
-    # a list cannot be a key of the loader's variant table: it must still be an IntegrityError
-    for precision in ("binary64", None, ["binary16"]):
-        p = _doc(tmp_path, lambda d: d.update(precision=precision))
-        with pytest.raises(IntegrityError, match="precision"):
-            load_model(p)
+def _refused_model(tmp_path, bases, name):
+    """The file of row ``name``: its base with its change applied."""
+    base, change = MODEL_REFUSALS[name][:2]
+    text = (bases / f"{base}.json").read_text()
+    if isinstance(change, tuple):
+        key, spelling = change
+        head, sep, rest = text.partition(f'"{key}": [\n')
+        first, comma, tail = rest.partition(",")
+        text = head + sep + first.replace(first.strip(), spelling) + comma + tail
+    elif callable(change):
+        doc = json.loads(text)
+        change(doc)
+        text = json.dumps(doc)
+    else:
+        text = change
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    return str(path)
 
 
-def test_model_no_layers(tmp_path):
-    p = _doc(tmp_path, lambda d: d.update(layers=[]))
-    with pytest.raises(IntegrityError, match="no layers"):
-        load_model(p)
+@pytest.mark.parametrize("name", MODEL_REFUSALS)
+def test_loader_refuses_model(tmp_path, model_bases, name):
+    _, _, error, message, meta = MODEL_REFUSALS[name]
+    path = _refused_model(tmp_path, model_bases, name)
+    for load in (load_model_and_meta, load_model_meta) if meta else (load_model_and_meta,):
+        with pytest.raises(error) as info:
+            load(path)
+        assert (type(info.value), str(info.value)) == (error, path + message)
+    if not meta:
+        load_model_meta(path)  # reads no layer
 
 
-def test_model_activation_length_mismatch(tmp_path):
-    p = _doc(tmp_path, lambda d: d.update(activation=["relu"]))
-    with pytest.raises(IntegrityError, match="activation"):
-        load_model(p)
-
-
-def test_model_unknown_activation(tmp_path):
-    p = _doc(tmp_path, lambda d: d.update(activation=["relu", "tanh"]))
-    with pytest.raises(IntegrityError, match="tanh"):
-        load_model(p)
-
-
-def test_model_bad_mask_value(tmp_path):
-    def mutate(d):
-        d["layers"][0]["mask"][0] = 2
-
-    with pytest.raises(IntegrityError, match="mask"):
-        load_model(_doc(tmp_path, mutate))
-
-
-@pytest.mark.parametrize("value", [1.0, 0.0, True, -1, 2**70], ids=["1.0", "0.0", "true", "-1", "2^70"])
-def test_model_mask_entries_must_be_integers(tmp_path, value):
-    p = _doc(tmp_path, _put("layers", 1, "mask", 0, value))
-    with pytest.raises(IntegrityError, match="layer 1: mask entries must be 0 or 1"):
-        load_model(p)
-
-
-def test_model_mask_length_mismatch(tmp_path):
-    def mutate(d):
-        d["layers"][0]["mask"].append(1)
-
-    with pytest.raises(IntegrityError, match="mask"):
-        load_model(_doc(tmp_path, mutate))
-
-
-def test_model_weights_length_mismatch(tmp_path):
-    def mutate(d):
-        d["layers"][1]["weights_f32"] = d["layers"][1]["weights_f32"][:-1]
-
-    with pytest.raises(IntegrityError, match="weights_f32"):
-        load_model(_doc(tmp_path, mutate))
-
-
-def test_model_masked_weight_must_be_zero(tmp_path):
-    def mutate(d):
-        # layer 0 slot (0, 1) is masked off in the fixture
-        d["layers"][0]["weights_f32"][1] = 0.25
-
-    with pytest.raises(IntegrityError, match="masked-off"):
-        load_model(_doc(tmp_path, mutate))
-
-
-def test_model_masked_half_code_must_be_zero(tmp_path):
-    net = quantize_network(_small_net())
-    p = tmp_path / "m.json"
-    save_model(net, str(p))
-    doc = json.loads(p.read_text())
-    doc["layers"][0]["weights_f16"][1] = 0x8000  # negative zero is not canonical
-    p.write_text(json.dumps(doc))
-    with pytest.raises(IntegrityError, match="masked-off"):
-        load_model(str(p))
-
-
-def test_model_half_code_out_of_range(tmp_path):
-    net = quantize_network(_small_net())
-    p = tmp_path / "m.json"
-    save_model(net, str(p))
-    doc = json.loads(p.read_text())
-    doc["layers"][0]["weights_f16"][0] = 65536
-    p.write_text(json.dumps(doc))
-    with pytest.raises(IntegrityError, match="65535"):
-        load_model(str(p))
-
-
-@pytest.mark.parametrize("value", [-1, 2**70, 1.0, True], ids=["-1", "2^70", "1.0", "true"])
-def test_model_half_code_must_be_an_integer_in_range(tmp_path, value):
-    net = quantize_network(_small_net())
-    p = tmp_path / "m.json"
-    save_model(net, str(p))
-    doc = json.loads(p.read_text())
-    doc["layers"][1]["bias_f16"][0] = value
-    p.write_text(json.dumps(doc))
-    with pytest.raises(IntegrityError, match="layer 1: bias_f16 entries must be integers in"):
-        load_model(str(p))
-
-
-def _spelled(tmp_path, key, spelling):
-    """A saved model whose first `key` number is spelled ``spelling`` in the file."""
-    net = _small_net()
-    p = tmp_path / "m.json"
-    save_model(net, str(p), alpha_history=[0.5, 0.25])
-    text = p.read_text()
-    head, sep, rest = text.partition(f'"{key}": [\n')
-    first, comma, tail = rest.partition(",")
-    p.write_text(head + sep + first.replace(first.strip(), spelling) + comma + tail)
-    return str(p)
-
-
-@pytest.mark.parametrize("spelling", ["1" + "0" * 400, "1e999"], ids=["10^400", "1e999"])
-def test_model_weight_beyond_float64_rejected(tmp_path, spelling):
-    with pytest.raises(IntegrityError, match="finite binary32"):
-        load_model(_spelled(tmp_path, "weights_f32", spelling))
-
-
-@pytest.mark.parametrize("spelling", ["1" + "0" * 400, "1e999", "-1e999"], ids=["10^400", "1e999", "-1e999"])
-def test_model_alpha_history_must_be_finite(tmp_path, spelling):
-    p = _spelled(tmp_path, "alpha_history", spelling)
-    for load in (load_model, load_model_meta):
-        with pytest.raises(IntegrityError, match="alpha_history' must be a list of finite numbers"):
-            load(p)
+@pytest.mark.parametrize("name", MODEL_REFUSALS)
+@pytest.mark.parametrize("command", ["inspect", "metrics", "quantize"])
+def test_read_commands_refuse_model(tmp_path, capsys, model_bases, command, name):
+    # quantize loads before it checks the precision, so it refuses binary16 rows
+    # with the loader's message too
+    _, _, error, message, _ = MODEL_REFUSALS[name]
+    path = _refused_model(tmp_path, model_bases, name)
+    out = tmp_path / "half.json"
+    argv = {"inspect": [], "metrics": ["--data", str(model_bases / "source.json")],
+            "quantize": ["--out", str(out)]}[command]
+    assert run([command, "--model", path, *argv]) == error.exit_code
+    assert capsys.readouterr() == ("", f"error: {path}{message}\n")
+    assert not out.exists()
 
 
 def _loop_uint_check(values, top):
@@ -889,71 +898,6 @@ def test_vectorised_loader_checks_match_the_loops():
             assert isinstance(want, str) and str(exc) == f"m: w {want}", (values, exc)
         else:
             assert not isinstance(want, str) and got.tobytes() == want.tobytes(), values
-
-
-def test_model_dimension_chain_checked(tmp_path):
-    def mutate(d):
-        d["layers"][1]["in_dim"] = 5
-
-    with pytest.raises(IntegrityError, match="in_dim"):
-        load_model(_doc(tmp_path, mutate))
-
-
-def test_model_dimensions_positive(tmp_path):
-    def mutate(d):
-        d["layers"][0]["out_dim"] = 0
-
-    with pytest.raises(IntegrityError):
-        load_model(_doc(tmp_path, mutate))
-
-
-def test_model_weight_entries_must_be_numbers(tmp_path):
-    def mutate(d):
-        d["layers"][0]["weights_f32"][0] = True
-
-    with pytest.raises(IntegrityError):
-        load_model(_doc(tmp_path, mutate))
-
-
-def _put(*path_and_value):
-    """Model mutation that sets doc[path...] = value."""
-    *path, key, value = path_and_value
-
-    def mutate(doc):
-        for step in path:
-            doc = doc[step]
-        doc[key] = value
-    return mutate
-
-
-# json.dumps writes these as the bare tokens NaN, Infinity and -Infinity
-NON_FINITE_MODELS = [
-    ("NaN", _put("layers", 0, "weights_f32", 0, float("nan"))),
-    ("Infinity", _put("alpha_history", [1.0, float("inf")])),
-    ("-Infinity", _put("layers", 1, "bias_f32", 0, float("-inf"))),
-]
-
-
-@pytest.mark.parametrize("token, mutate", NON_FINITE_MODELS, ids=[t for t, _ in NON_FINITE_MODELS])
-def test_model_rejects_non_finite_tokens(tmp_path, token, mutate):
-    p = _doc(tmp_path, mutate)
-    for load in (load_model, load_model_meta):
-        with pytest.raises(IntegrityError, match=f"{token} is not a valid value"):
-            load(p)
-
-
-def test_model_invalid_json(tmp_path):
-    p = tmp_path / "m.json"
-    p.write_text("{not json")
-    with pytest.raises(IntegrityError):
-        load_model(str(p))
-
-
-def test_model_top_level_must_be_object(tmp_path):
-    p = tmp_path / "m.json"
-    p.write_text("[1, 2]")
-    with pytest.raises(IntegrityError):
-        load_model(str(p))
 
 
 def test_model_missing_file():

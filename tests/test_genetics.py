@@ -121,6 +121,13 @@ def test_synthesize_deterministic():
     assert not np.array_equal(a[0], c[0])
 
 
+# the stream reduces a seed modulo 2**64: 2**64 + 3 drew seed 3's masks
+@pytest.mark.parametrize("seed", [-1, 2**64 + 3], ids=["-1", "2^64+3"])
+def test_synthesize_refuses_seed_outside_uint64(seed):
+    with pytest.raises(ValueError, match="^seed must be a 64-bit unsigned integer$"):
+        synthesize_offspring(_spm([np.full((5, 8), 0.5)]), 0.5, seed)
+
+
 def test_synthesize_degenerate_probabilities():
     dna = _spm([[[1.0, 0.0]]])
     for seed in range(20):

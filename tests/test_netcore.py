@@ -44,6 +44,8 @@ from evosynth.netcore import (
 )
 from evosynth.rng import permutation, substream
 
+from helpers import fd_grad
+
 
 def _small_net(seed=0, activation="relu"):
     return init_network([LayerSpec(3, 4, activation), LayerSpec(4, 2, activation)], seed=seed)
@@ -137,29 +139,6 @@ def test_mean_loss_validates_labels():
 # gradients
 
 
-def _fd_grad(net, x, y, li, key, idx, eps):
-    # inference freezes a network's arrays, so each probe is a new array
-    layer = net.layers[li]
-    orig = getattr(layer, key)
-    probes = []
-    for step in (eps, -eps):
-        probe = orig.copy()
-        probe[idx] = np.float32(float(orig[idx]) + step)
-        setattr(layer, key, probe)
-        probes.append((float(probe[idx]), mean_loss(net, x, y)))
-    setattr(layer, key, orig)
-    (up, lp), (dn, lm) = probes
-    return (lp - lm) / (up - dn)
-
-
-def _fd_weight_grad(net, x, y, li, idx, eps=1e-3):
-    return _fd_grad(net, x, y, li, "weights", idx, eps)
-
-
-def _fd_bias_grad(net, x, y, li, idx, eps=1e-3):
-    return _fd_grad(net, x, y, li, "bias", idx, eps)
-
-
 def _rel_err(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-8)
 
@@ -178,10 +157,10 @@ def test_gradients_match_finite_differences(activation):
             if layer.mask[idx] == 0:
                 assert g.weights[li][idx] == 0.0
                 continue
-            fd = _fd_weight_grad(net, x, y, li, idx)
+            fd = fd_grad(net, x, y, li, "weights", idx)
             assert _rel_err(fd, float(g.weights[li][idx])) < 1e-4
         for bi in range(layer.bias.shape[0]):
-            fd = _fd_bias_grad(net, x, y, li, (bi,))
+            fd = fd_grad(net, x, y, li, "bias", (bi,))
             assert _rel_err(fd, float(g.biases[li][bi])) < 1e-4
 
 
@@ -1127,6 +1106,17 @@ def test_validation_split_properties():
     # at least one validation sample even for tiny fractions
     _, va3 = validation_split(10, 0.01, seed=1)
     assert len(va3) == 1
+
+
+# the stream reduces a seed modulo 2**64: init_network(spec, 2**64) drew seed
+# 0's weights, and validation_split(50, 0.2, -2**64) seed 0's split
+@pytest.mark.parametrize("seed", [-1, 2**64, -2**64], ids=["-1", "2^64", "-2^64"])
+@pytest.mark.parametrize("draw", [lambda seed: init_network([LayerSpec(3, 2)], seed),
+                                  lambda seed: validation_split(50, 0.2, seed)],
+                         ids=["init_network", "validation_split"])
+def test_seed_outside_uint64_is_refused(draw, seed):
+    with pytest.raises(ValueError, match="^seed must be a 64-bit unsigned integer$"):
+        draw(seed)
 
 
 # evaluation

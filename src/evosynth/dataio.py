@@ -26,7 +26,17 @@ or `alpha_history` entry, which JSON cannot spell, or a binary16 NaN
 (infinities stay writable). Then it applies the loader's mask rules: a
 mask entry other than 0 or 1, or a masked-off weight that would not read
 back as +0.0, raises `IntegrityError` with the loader's message, and a
-0/1 mask of any dtype is written as the integers 0 and 1.
+0/1 mask of any dtype is written as the integers 0 and 1. An
+`alpha_history` entry must be a real number other than a `bool` (a numpy
+float or integer is taken); a string, `None` or a `bool` raises
+`IntegrityError` before the file is opened.
+
+The loaders read a model file's text once. A list under "mask",
+"weights_f16" or "bias_f16" that is spelled byte for byte as `save_model`
+spells it is decoded by numpy (`_decoded_doc`); any other valid JSON
+spelling of the same document, and the binary32 decimals and
+`alpha_history` of every file, go through json. The loaders apply the
+same rules, with the same messages, to the values either way.
 
 Every text file the package reads or writes goes through `read_text`,
 `read_json` and `write_text`: UTF-8 without newline translation, and a
@@ -37,7 +47,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import re
 import struct
+import warnings
 from dataclasses import dataclass
 from typing import get_type_hints
 
@@ -79,25 +92,34 @@ def read_text(path: str) -> str:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def read_json(path: str, invalid=IntegrityError, unreadable=IoError, label: str = ""):
+def read_json(path: str, invalid=IntegrityError, unreadable=IoError, label: str = "",
+              shortcut=None):
     """The JSON document in `path`, with no `NaN` or `Infinity` token.
 
     A file that cannot be opened raises `unreadable`; one that is not
     UTF-8, not JSON, nested too deeply to parse or holds a bare `NaN`,
     `Infinity` or `-Infinity` raises `invalid`. Messages name the file
-    as `label` followed by the path.
+    as `label` followed by the path. `shortcut`, if given, maps the
+    file's text to its document, or to None to leave the text to json.
     """
     def reject(token):
         raise invalid(f"{label}{path}: {token} is not a valid value")
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_constant=reject)
+            text = fh.read()
     except OSError as exc:
         raise unreadable(f"cannot read {label}{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise invalid(f"{label}{path} is not valid JSON: {exc}") from exc
+    doc = shortcut(text) if shortcut else None
+    if doc is not None:
+        return doc
+    try:
+        return json.loads(text, parse_constant=reject)
     except (ValueError, RecursionError) as exc:
-        # ValueError: bytes that are not UTF-8, malformed JSON or an integer
-        # literal beyond Python's digit limit; RecursionError: deep nesting
+        # ValueError: malformed JSON or an integer literal beyond Python's
+        # digit limit; RecursionError: deep nesting
         raise invalid(f"{label}{path} is not valid JSON: {exc}") from exc
 
 
@@ -467,7 +489,10 @@ def save_model(net: Network, path: str, seed: int = 0,
     precision = "binary16" if net.precision_tag == HALF else "binary32"
     _, weights_key, bias_key = _VARIANTS[precision]
     bad = "NaN" if precision == "binary16" else "non-finite"
-    alphas = [float(a) for a in (alpha_history or [])]
+    alphas = list(alpha_history or [])
+    if not all(isinstance(a, numbers.Real) and not isinstance(a, bool) for a in alphas):
+        raise IntegrityError(f"{path}: field 'alpha_history' must be a list of finite numbers")
+    alphas = [float(a) for a in alphas]
     if not all(map(math.isfinite, alphas)):
         raise NumericFailure(f"cannot write {path}: alpha_history holds a non-finite value")
     doc = {
@@ -500,13 +525,93 @@ def _require(doc: dict, key: str, kind, where: str):
     value = doc[key]
     if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
         raise IntegrityError(f"{where}: field {key!r} must be an integer")
-    if kind is list and not isinstance(value, list):
+    if kind is list and not isinstance(value, (list, np.ndarray)):  # an array from _int_list
         raise IntegrityError(f"{where}: field {key!r} must be a list")
     return value
 
 
+# the lists save_model spells with _int_items, which the loaders read with
+# numpy when a file spells them that way
+_INT_KEYS = ("mask", *_VARIANTS["binary16"][1:])
+_INT_LIST = re.compile(r'"(%s)": \[\n' % "|".join(_INT_KEYS))
+
+
+def _int_list(text: str, start: int, indent: str):
+    """The int64 values of the list whose first line starts at `start`, and
+    the end of the list, if it is spelled as `_indent1_json` spells a
+    non-empty unsigned array at `indent`; else None.
+
+    `np.fromstring` is lenient (it takes `01`, `+1` and a trailing comma,
+    and clamps beyond int64), so the gate is the writer itself: the values
+    must spell the list's exact text again. numpy 1.x warns about data it
+    cannot read and returns what it read before it, where 2.x raises.
+    Such a list holds no `"`, so the search for its end stops at the next
+    one, and the lists of a file are searched in linear time in all.
+    """
+    inner = indent + " "
+    if indent.strip(" ") or not text.startswith(inner, start):
+        return None
+    quote = text.find('"', start)
+    close = text.find("\n" + indent + "]", start, len(text) if quote < 0 else quote)
+    if close < 0:
+        return None
+    body = text[start + len(inner):close]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        try:
+            values = np.fromstring(body, dtype=np.int64, sep=",")
+        except ValueError:
+            return None
+    if not values.size or values.min() < 0:
+        return None
+    # the writer's arithmetic is fastest in the narrowest dtype (a mask's uint8)
+    if _int_items(values.astype(np.min_scalar_type(int(values.max()))), inner) != body:
+        return None
+    return values, close + len(indent) + 2
+
+
+def _decoded_doc(text: str) -> dict | None:
+    """The model document of `text`, with each list under `_INT_KEYS` that
+    `_int_list` reads held as its int64 array, or None to leave the whole
+    text to json.
+
+    Each such list is swapped for a `NaN` token (and a raw newline, so that
+    a list inside a string still fails to parse), and `parse_constant` puts
+    the arrays back in text order. The text is left to json if the rest
+    does not parse (json then reports on the original text), if it holds a
+    `NaN` token of its own (one token more than arrays fails that parse),
+    or if any array lands elsewhere than `layers[i][key]`, where no message
+    prints a value.
+    """
+    pieces, arrays, at = [], [], 0
+    for m in _INT_LIST.finditer(text):
+        found = _int_list(text, m.end(), text[text.rfind("\n", 0, m.start()) + 1:m.start()])
+        if found:
+            pieces += [text[at:m.end() - 2], "NaN\n"]
+            arrays.append((m[1], found[0]))
+            at = found[1]
+    if not arrays:
+        return None
+    pending = [values for _, values in reversed(arrays)]
+
+    def place(token):
+        if token != "NaN" or not pending:
+            raise ValueError(token)
+        return pending.pop()
+
+    try:
+        doc = json.loads("".join(pieces) + text[at:], parse_constant=place)
+    except (ValueError, RecursionError):
+        return None
+    layers = doc.get("layers") if isinstance(doc, dict) else None
+    placed = {(key, id(entry[key])) for entry in (layers if isinstance(layers, list) else ())
+              if isinstance(entry, dict) for key in _INT_KEYS
+              if isinstance(entry.get(key), np.ndarray)}
+    return doc if placed == {(key, id(values)) for key, values in arrays} else None
+
+
 def _load_doc(path: str) -> dict:
-    doc = read_json(path)
+    doc = read_json(path, shortcut=_decoded_doc)
     if not isinstance(doc, dict):
         raise IntegrityError(f"{path}: top level must be a JSON object")
     version = doc.get("format_version")
@@ -549,14 +654,18 @@ def load_model_meta(path: str) -> ModelMeta:
     return _read_meta(_load_doc(path), path)
 
 
-def _uint_array(values: list, top: int) -> np.ndarray | None:
-    """`values` as an int64 array if every entry is an int in [0, top], else None."""
-    if not set(map(type, values)) <= {int}:
+def _uint_array(values: list | np.ndarray, top: int) -> np.ndarray | None:
+    """`values` (a json list or an int64 array from `_int_list`) as an int64
+    array if every entry is an int in [0, top], else None."""
+    if isinstance(values, np.ndarray):
+        a = values
+    elif not set(map(type, values)) <= {int}:
         return None
-    try:
-        a = np.asarray(values, dtype=np.int64)
-    except OverflowError:  # an integer beyond int64
-        return None
+    else:
+        try:
+            a = np.asarray(values, dtype=np.int64)
+        except OverflowError:  # an integer beyond int64
+            return None
     # two reductions cost less than two comparisons and an np.all
     return a if a.size == 0 or (a.min() >= 0 and a.max() <= top) else None
 

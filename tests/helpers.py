@@ -16,6 +16,14 @@ def put(*path_and_value):
     return mutate
 
 
+def respell(text: str, key: str, spelling: str) -> str:
+    """A saved model's `text` with the first entry of the first list under
+    `key` spelled `spelling`."""
+    head, sep, rest = text.partition(f'"{key}": [\n')
+    first, comma, tail = rest.partition(",")
+    return head + sep + first.replace(first.strip(), spelling) + comma + tail
+
+
 def fd_grad(net, x, y, li, key, idx, eps=1e-3):
     """Central finite difference of `mean_loss` in entry ``idx`` of layer
     ``li``'s ``key`` ("weights" or "bias"), over the binary32 step taken."""

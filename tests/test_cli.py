@@ -1,5 +1,6 @@
 """Black-box command-line tests: exit codes, files, printed JSON."""
 
+import builtins
 import contextlib
 import io
 import json
@@ -771,7 +772,7 @@ def test_metrics_rejects_positive_infinity_output_bias(run_dir, tmp_path, capsys
     assert captured.err == "error: non-finite class probability\n"
 
 
-# each read command parses its model file once
+# each read command reads its model file once, whichever parser decodes it
 
 
 @pytest.mark.parametrize("command", ["inspect", "metrics", "quantize"])
@@ -780,14 +781,14 @@ def test_read_commands_parse_the_model_once(run_dir, tmp_path, monkeypatch, caps
     argv = {"inspect": [],
             "metrics": ["--data", _write_json(tmp_path / "source.json", DATASET_SOURCE)],
             "quantize": ["--out", str(tmp_path / "half.json")]}[command]
-    parsed = []
-    real_load = json.load
+    opened = []
+    real_open = builtins.open
 
-    def counting_load(fh, **kwargs):
-        parsed.append(fh.name)
-        return real_load(fh, **kwargs)
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
 
-    monkeypatch.setattr(json, "load", counting_load)
+    monkeypatch.setattr(builtins, "open", counting_open)
     assert run([command, "--model", model, *argv]) == 0
     capsys.readouterr()
-    assert parsed.count(model) == 1
+    assert opened.count(model) == 1

@@ -48,7 +48,7 @@ from evosynth.netcore import (
     validation_split,
 )
 
-from helpers import put
+from helpers import put, respell
 
 
 # CSV datasets
@@ -679,6 +679,24 @@ def test_save_model_rejects_non_finite_alpha_history(tmp_path, value, half):
     assert not p.exists()
 
 
+# float() would store "0.5" as 0.5 and True as 1.0, and end "x" and None
+# in a bare ValueError or TypeError
+@pytest.mark.parametrize("value", ["0.5", True, np.True_, "x", None, [0.5], 1j],
+                         ids=["str-number", "true", "numpy-true", "str", "null", "list", "complex"])
+def test_save_model_rejects_non_real_alpha_history(tmp_path, value):
+    p = tmp_path / "m.json"
+    with pytest.raises(IntegrityError) as info:
+        save_model(_small_net(), str(p), alpha_history=[1.0, value])
+    assert str(info.value) == f"{p}: field 'alpha_history' must be a list of finite numbers"
+    assert not p.exists()
+
+
+def test_save_model_takes_numpy_alpha_history(tmp_path):
+    p = str(tmp_path / "m.json")
+    save_model(_small_net(), p, alpha_history=[np.float32(0.5), np.float64(0.25), np.int64(1), 2])
+    assert load_model_meta(p).alpha_history == [0.5, 0.25, 1.0, 2.0]
+
+
 # the file holds the seed passed, so a value that int() would turn into
 # another seed (2.7, True, "7") is refused
 @pytest.mark.parametrize("seed", [2**64, 2.7, True, "7"], ids=["2^64", "2.7", "true", "str"])
@@ -717,6 +735,8 @@ def test_model_unknown_top_level_fields_ignored(tmp_path):
 # loader refuses, as (base variant, change, error, message, meta). A change
 # edits the parsed document, respells the first number of a list in the
 # file's text (a (key, spelling) pair), or is the file's whole new text.
+# An edited document is written both compact and in save_model's layout,
+# where the loader decodes its masks and binary16 codes with numpy.
 # `message` is the loader's, after the file's path; `meta` marks the rows
 # whose field `load_model_meta` reads too. Layer 0 is 3 -> 4, layer 1 is
 # 4 -> 2, and weight 1 of layer 0 and weight 7 of layer 1 are masked off.
@@ -724,6 +744,9 @@ B32, B16 = "binary32", "binary16"
 TEN_400 = "1" + "0" * 400
 ALPHAS = ": field 'alpha_history' must be a list of finite numbers"
 MASKED = " layer 0: masked-off weight is not +0.0"
+# a list in save_model's spelling that the numpy decoder reads, but whose
+# file it leaves to json
+SPELLED_MASK = '"mask": [\n    1\n   ]'
 MODEL_REFUSALS = {
     # the document
     "not-json": (B32, "{not json", IntegrityError, " is not valid JSON: Expecting property name "
@@ -798,7 +821,29 @@ MODEL_REFUSALS = {
     "masked-0.25": (B32, put("layers", 0, "weights_f32", 1, 0.25), IntegrityError, MASKED, False),
     "masked-minus-zero": (B32, put("layers", 0, "weights_f32", 1, -0.0), IntegrityError, MASKED, False),
     "masked-code-0x8000": (B16, put("layers", 0, "weights_f16", 1, 0x8000), IntegrityError, MASKED, False),
+    # spellings numpy's fromstring reads, and json refuses or reads otherwise
+    **{f"mask-{s}": (B16, ("mask", s), IntegrityError, f" is not valid JSON: {m}", True)
+       for s, m in (("01", "Expecting ',' delimiter: line 14 column 6 (char 179)"),
+                    ("+1", "Expecting value: line 14 column 5 (char 178)"))},
+    "code-2^64": (B16, ("weights_f16", str(2**64)), IntegrityError,
+                  " layer 0: weights_f16 entries must be integers in [0, 65535]", False),
+    # files whose decoded lists would land where json must read them
+    "mask-in-activation": (B16, put("activation", [{"mask": [1]}, "relu"]), IntegrityError,
+                           ": unknown activation {'mask': [1]}", False),
+    "mask-in-string": (B16, '{\n "format_version": 1,\n "precision": "binary16\n   '
+                       + SPELLED_MASK + '"\n}\n', IntegrityError,
+                       " is not valid JSON: Invalid control character at: line 3 column 24 (char 47)",
+                       True),
+    "NaN-alpha-binary16": (B16, put("alpha_history", [0.5, float("nan")]), IntegrityError,
+                           ": NaN is not a valid value", True),
+    "duplicate-layers": (B16, '{\n "format_version": 1,\n "generation": 1,\n "precision": "binary16",'
+                         '\n "seed": 9,\n "layers": [\n  {\n   ' + SPELLED_MASK + '\n  }\n ],'
+                         '\n "layers": []\n}\n', IntegrityError, ": model has no layers", False),
 }
+# each row once as it stands, and each edited document again in save_model's layout
+REFUSAL_CASES = [pytest.param(name, False, id=name) for name in MODEL_REFUSALS] + [
+    pytest.param(name, True, id=f"{name}-indent1")
+    for name, row in MODEL_REFUSALS.items() if callable(row[1])]
 
 
 @pytest.fixture(scope="module")
@@ -813,19 +858,18 @@ def model_bases(tmp_path_factory):
     return root
 
 
-def _refused_model(tmp_path, bases, name):
-    """The file of row ``name``: its base with its change applied."""
+def _refused_model(tmp_path, bases, name, indent1=False):
+    """The file of row ``name``: its base with its change applied; an edited
+    document is written as `json.dumps(doc, indent=1)`, the layout of
+    save_model, if ``indent1``, else compact."""
     base, change = MODEL_REFUSALS[name][:2]
     text = (bases / f"{base}.json").read_text()
     if isinstance(change, tuple):
-        key, spelling = change
-        head, sep, rest = text.partition(f'"{key}": [\n')
-        first, comma, tail = rest.partition(",")
-        text = head + sep + first.replace(first.strip(), spelling) + comma + tail
+        text = respell(text, *change)
     elif callable(change):
         doc = json.loads(text)
         change(doc)
-        text = json.dumps(doc)
+        text = json.dumps(doc, indent=1) + "\n" if indent1 else json.dumps(doc)
     else:
         text = change
     path = tmp_path / "m.json"
@@ -833,10 +877,10 @@ def _refused_model(tmp_path, bases, name):
     return str(path)
 
 
-@pytest.mark.parametrize("name", MODEL_REFUSALS)
-def test_loader_refuses_model(tmp_path, model_bases, name):
+@pytest.mark.parametrize("name, indent1", REFUSAL_CASES)
+def test_loader_refuses_model(tmp_path, model_bases, name, indent1):
     _, _, error, message, meta = MODEL_REFUSALS[name]
-    path = _refused_model(tmp_path, model_bases, name)
+    path = _refused_model(tmp_path, model_bases, name, indent1)
     for load in (load_model_and_meta, load_model_meta) if meta else (load_model_and_meta,):
         with pytest.raises(error) as info:
             load(path)
@@ -845,19 +889,38 @@ def test_loader_refuses_model(tmp_path, model_bases, name):
         load_model_meta(path)  # reads no layer
 
 
-@pytest.mark.parametrize("name", MODEL_REFUSALS)
+@pytest.mark.parametrize("name, indent1", REFUSAL_CASES)
 @pytest.mark.parametrize("command", ["inspect", "metrics", "quantize"])
-def test_read_commands_refuse_model(tmp_path, capsys, model_bases, command, name):
+def test_read_commands_refuse_model(tmp_path, capsys, model_bases, command, name, indent1):
     # quantize loads before it checks the precision, so it refuses binary16 rows
     # with the loader's message too
     _, _, error, message, _ = MODEL_REFUSALS[name]
-    path = _refused_model(tmp_path, model_bases, name)
+    path = _refused_model(tmp_path, model_bases, name, indent1)
     out = tmp_path / "half.json"
     argv = {"inspect": [], "metrics": ["--data", str(model_bases / "source.json")],
             "quantize": ["--out", str(out)]}[command]
     assert run([command, "--model", path, *argv]) == error.exit_code
     assert capsys.readouterr() == ("", f"error: {path}{message}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name, indent1", [("mask-in-activation", True), ("mask-in-string", False),
+                                            ("NaN-alpha-binary16", True), ("duplicate-layers", False)])
+def test_decoder_leaves_refusal_rows_to_json(tmp_path, monkeypatch, model_bases, name, indent1):
+    # each file holds a list that the numpy decoder reads, and the decoder
+    # then leaves the whole file to json
+    with open(_refused_model(tmp_path, model_bases, name, indent1), encoding="utf-8") as fh:
+        text = fh.read()
+    read = []
+    real_int_list = dataio._int_list
+
+    def spy(*args):
+        read.append(real_int_list(*args))
+        return read[-1]
+
+    monkeypatch.setattr(dataio, "_int_list", spy)
+    assert dataio._decoded_doc(text) is None
+    assert any(read)
 
 
 def _loop_uint_check(values, top):

@@ -4,23 +4,32 @@ A table feeds bytes that are not UTF-8 and JSON nested too deeply to
 parse to each reader in each role; Hypothesis properties mutate the
 bytes of valid model files, lineage CSVs, run configs and data-source
 documents at random, and the parsed values of run configs and data-source
-documents, so that most mutated documents reach the checkers.
+documents, so that most mutated documents reach the checkers. Mutated model
+files also load to the same bits or the same error whether the numpy decoder
+of masks and binary16 codes reads them or json alone does.
 """
 
 import contextlib
 import io
 import json
 import math
+import time
+import warnings
 from dataclasses import is_dataclass
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from evosynth import dataio
 from evosynth.cli import RunConfig, _SOURCES, _dataset_source, load_run_config, run
-from evosynth.dataio import LINEAGE_HEADER, read_json, save_model
-from evosynth.errors import ConfigError
+from evosynth.dataio import LINEAGE_HEADER, load_model_and_meta, read_json, save_model
+from evosynth.errors import ConfigError, EvoSynthError
 from evosynth.halfprec import quantize_network
 from evosynth.netcore import LayerSpec, init_network
+
+from helpers import respell
 
 NOT_UTF8 = b"\xff\xfe{}"  # a UTF-16 byte-order mark
 DEEP_JSON = b"[" * 5000 + b"]" * 5000
@@ -129,6 +138,108 @@ def test_mutated_model_never_escapes(inputs, base, mutations):
                   "--split", "full"],
                  ["quantize", "--model", str(model), "--out", str(inputs / "quantized.json")]):
         _assert_clean_exit(argv, (0, 2))
+
+
+# the numpy decoder of masks and binary16 codes against json alone
+
+
+def _load_outcome(path: str):
+    """What `load_model_and_meta` gives for `path`: the bits of every array
+    and every meta value, or the error's class and message."""
+    try:
+        net, meta = load_model_and_meta(path)
+    except EvoSynthError as exc:
+        return type(exc), str(exc)
+    layers = [(l.activation, l.weights.shape, l.mask.dtype, l.mask.tobytes(), l.weights.tobytes(),
+               l.bias.tobytes()) for l in net.layers]
+    return (layers, net.generation, net.precision_tag, meta.generation, meta.precision, meta.seed,
+            np.array(meta.alpha_history).tobytes())
+
+
+def _decoder_and_json_agree(path: str) -> None:
+    with mock.patch.object(dataio, "_decoded_doc", lambda text: None):
+        by_json = _load_outcome(path)
+    assert _load_outcome(path) == by_json
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(base=st.sampled_from(["full.json", "half.json"]), mutations=MUTATIONS)
+def test_mutated_model_decodes_as_json_reads_it(inputs, base, mutations):
+    model = inputs / "mutated.json"
+    model.write_bytes(_mutate((inputs / base).read_bytes(), mutations))
+    _decoder_and_json_agree(str(model))
+
+
+# a code set in the first (live) weight or the first bias of half.json, whose
+# infinities load and whose 65535 is a NaN code, or a 1-1-1 network saved in
+# a variant, whose lists all hold one entry
+EDGE_CASES = [pytest.param((key, code), id=f"{key}-0x{code:04X}")
+              for key in ("weights_f16", "bias_f16") for code in (0x7C00, 0xFC00, 65535)]
+EDGE_CASES += [pytest.param(variant, id=f"1-entry-lists-{variant}") for variant in ("binary16", "binary32")]
+
+
+@pytest.mark.parametrize("edit", EDGE_CASES)
+def test_decoder_edge_values_match_json(inputs, tmp_path, edit):
+    model = tmp_path / "edge.json"
+    if isinstance(edit, tuple):
+        doc = json.loads((inputs / "half.json").read_text())
+        key, code = edit
+        doc["layers"][0][key][0] = code
+    else:
+        net = init_network([LayerSpec(1, 1), LayerSpec(1, 1)], seed=4)
+        save_model(quantize_network(net) if edit == "binary16" else net, str(model))
+        doc = json.loads(model.read_text())
+    text = json.dumps(doc, indent=1) + "\n"
+    assert dataio._decoded_doc(text) is not None  # the decoder reads these lists
+    model.write_text(text)
+    _decoder_and_json_agree(str(model))
+
+
+def test_unclosed_lists_are_read_in_linear_time(tmp_path):
+    # each list's end is searched for only up to the next quote: a search to
+    # the end of the text took about 15 s on these 560 KB
+    model = tmp_path / "unclosed.json"
+    model.write_text("{\n" + '"mask": [\n 1,\n' * 40_000 + "}")
+    start = time.perf_counter()
+    _assert_clean_exit(["inspect", "--model", str(model)], (2,))
+    assert time.perf_counter() - start < 2.0
+
+
+def _fromstring_1x(real, unread: list):
+    """`np.fromstring` as numpy 1.24-1.26 behave, which pyproject.toml allows:
+    on data it cannot read (each such string is put in `unread`), a
+    `DeprecationWarning` attributed to the caller and the values read before
+    it, where numpy 2 raises `ValueError`."""
+    def fromstring(string, dtype, sep):
+        try:
+            return real(string, dtype=dtype, sep=sep)
+        except ValueError:
+            unread.append(string)
+            warnings.warn("string or file could not be read to its end due to unmatched data",
+                          DeprecationWarning, stacklevel=2)
+        read = []
+        for item in string.split(sep):
+            try:
+                read.append(int(item))
+            except ValueError:
+                break
+        return np.array(read, dtype=dtype)
+    return fromstring
+
+
+@pytest.mark.parametrize("key", ["mask", "weights_f16"])
+@pytest.mark.parametrize("spelling", ["1x", "1.0", "7 8"])
+def test_decoder_under_numpy_1x(inputs, tmp_path, monkeypatch, key, spelling):
+    # CI installs only the newest numpy, so the older behaviour is put in here
+    model = tmp_path / "respelled.json"
+    model.write_text(respell((inputs / "half.json").read_text(), key, spelling))
+    numpy_2 = _load_outcome(str(model))
+    unread = []
+    monkeypatch.setattr(np, "fromstring", _fromstring_1x(np.fromstring, unread))
+    with warnings.catch_warnings(record=True) as escaped:
+        warnings.simplefilter("always")
+        assert _load_outcome(str(model)) == numpy_2
+    assert unread and escaped == []
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
